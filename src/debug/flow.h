@@ -25,19 +25,10 @@ struct OfflineOptions {
   /// Skip place & route and build no bitstream (mapping-only experiments
   /// such as Tables I/II don't need the physical stages).
   bool run_pnr = true;
-  /// Artifact-cache directory for the staged pipeline (see flow/pipeline.h);
-  /// empty disables caching and every stage executes.
+  /// Root of the content-addressed artifact cache for the staged pipeline
+  /// (see flow/cache.h), shareable by any number of processes; empty
+  /// disables caching and every stage executes.
   std::string cache_dir;
-  /// Cache backend: "dir" (default, one file per entry) or "cas"
-  /// (content-addressed store shareable between processes).
-  std::string cache_backend;
-  /// Root of a shared content-addressed cache; non-empty implies the "cas"
-  /// backend (and serves as its root even when cache_dir is empty).
-  std::string cache_shared;
-  /// Encoding for the hot artifacts (rr-graph, tcon-map, pconf-build):
-  /// "blob" (zero-copy mmap, default) or "stream" (legacy parse).  Loads
-  /// sniff the payload, so flipping the knob never invalidates a cache.
-  std::string artifact_encoding = "blob";
 };
 
 struct OfflineResult {

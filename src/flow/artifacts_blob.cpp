@@ -4,9 +4,7 @@
 // image (flow/blob.h); loaders validate the image and either BORROW the big
 // arrays straight out of the mapping (rr-graph node/edge/offset arrays, the
 // PConf BDD arena and function table) or bulk-reconstruct from typed spans
-// (the mapped netlist, whose cells carry strings).  Every loader sniffs the
-// payload and falls back to the legacy stream deserializer, so a cache can
-// hold a mix of encodings and an old entry is re-parsed, not rejected.
+// (the mapped netlist, whose cells carry strings).
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -54,9 +52,9 @@ enum : std::uint32_t {
 };
 
 /// 64-byte-aligned view of a cache payload plus whatever keeps it alive.
-/// mmap'd payloads are already aligned (file offset 64 on a page-aligned
-/// base) and pass through untouched; anything else is copied once into an
-/// aligned buffer that the borrowing artifact then owns via `backing`.
+/// mmap'd cache objects are page-aligned and pass through untouched;
+/// anything else is copied once into an aligned buffer that the borrowing
+/// artifact then owns via `backing`.
 struct BlobImage {
   std::string_view bytes;
   std::shared_ptr<const void> backing;
@@ -98,10 +96,6 @@ auto guarded(const char* what, F&& rebuild) -> decltype(rebuild()) {
 }
 
 }  // namespace
-
-bool looks_like_blob(std::string_view bytes) {
-  return bytes.size() >= 8 && bytes.substr(0, 8) == "FDBGBLB1";
-}
 
 // --- rr-graph ----------------------------------------------------------------
 
@@ -205,11 +199,6 @@ std::string encode_map_result_blob(const map::MapResult& result) {
 
 Result<std::optional<map::MapResult>> load_map_result(const CacheHit& hit) {
   using map::MKind;
-  if (!looks_like_blob(hit.payload)) {
-    ByteReader r(hit.payload);
-    FPGADBG_ASSIGN_OR_RETURN(map::MapResult result, deserialize_map_result(r));
-    return std::optional<map::MapResult>(std::move(result));
-  }
   const BlobImage image = aligned_image(hit);
   FPGADBG_ASSIGN_OR_RETURN(std::optional<BlobReader> reader,
                            BlobReader::open(image.bytes, kBlobKindMapResult));
@@ -370,11 +359,6 @@ std::string encode_pconf_blob(const PconfArtifact& artifact) {
 }
 
 Result<std::optional<PconfArtifact>> load_pconf(const CacheHit& hit) {
-  if (!looks_like_blob(hit.payload)) {
-    ByteReader r(hit.payload);
-    FPGADBG_ASSIGN_OR_RETURN(PconfArtifact artifact, deserialize_pconf(r));
-    return std::optional<PconfArtifact>(std::move(artifact));
-  }
   const BlobImage image = aligned_image(hit);
   FPGADBG_ASSIGN_OR_RETURN(std::optional<BlobReader> reader,
                            BlobReader::open(image.bytes, kBlobKindPconf));

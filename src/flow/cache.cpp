@@ -1,6 +1,7 @@
 #include "flow/cache.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -11,7 +12,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "flow/cache_internal.h"
 #include "flow/serialize.h"
 #include "support/mmap.h"
 #include "support/telemetry.h"
@@ -25,11 +25,49 @@ namespace fs = std::filesystem;
 using support::MmapRegion;
 using support::Result;
 using support::Status;
-using namespace cache_internal;
 
-}  // namespace
+// Index file: magic[0,8) stage_hash[8,16) key[16,24) payload_hash[24,32)
+// payload_size[32,40) reserved-zero[40,64).  payload_hash doubles as the
+// object's address under <root>/cas/.
+constexpr std::size_t kIndexSize = 64;
+constexpr char kIndexMagic[8] = {'F', 'D', 'B', 'G', 'I', 'D', 'X', '1'};
 
-namespace cache_internal {
+struct IndexHeader {
+  std::uint64_t stage_hash = 0;
+  std::uint64_t key = 0;
+  std::uint64_t payload_hash = 0;
+  std::uint64_t payload_size = 0;
+};
+
+void encode_index(char out[kIndexSize], const IndexHeader& h) {
+  std::memset(out, 0, kIndexSize);
+  std::memcpy(out, kIndexMagic, 8);
+  std::memcpy(out + 8, &h.stage_hash, 8);
+  std::memcpy(out + 16, &h.key, 8);
+  std::memcpy(out + 24, &h.payload_hash, 8);
+  std::memcpy(out + 32, &h.payload_size, 8);
+}
+
+IndexHeader decode_index(const char in[kIndexSize]) {
+  IndexHeader h;
+  std::memcpy(&h.stage_hash, in + 8, 8);
+  std::memcpy(&h.key, in + 16, 8);
+  std::memcpy(&h.payload_hash, in + 24, 8);
+  std::memcpy(&h.payload_size, in + 32, 8);
+  return h;
+}
+
+/// Reads up to kIndexSize bytes of `path` into `raw`.  Returns the number
+/// of bytes read, or -1 with errno set when the file cannot be read.
+ssize_t read_index(const std::string& path, char raw[kIndexSize]) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return -1;
+  const ssize_t n = ::read(fd, raw, kIndexSize);
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  return n;
+}
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -38,6 +76,8 @@ std::string hex64(std::uint64_t v) {
   return std::string(buf, 16);
 }
 
+/// Marks `path` as just-used: sets atime to now, leaves mtime alone.  Best
+/// effort (noatime mounts would otherwise starve the LRU sweep of signal).
 void touch_atime(const std::string& path) {
   struct timespec times[2];
   times[0].tv_sec = 0;
@@ -47,6 +87,7 @@ void touch_atime(const std::string& path) {
   ::utimensat(AT_FDCWD, path.c_str(), times, 0);
 }
 
+/// st_atime of `path` in nanoseconds, or -1 when unreadable.
 std::int64_t read_atime_ns(const std::string& path) {
   struct stat st;
   if (::stat(path.c_str(), &st) != 0) return -1;
@@ -54,9 +95,9 @@ std::int64_t read_atime_ns(const std::string& path) {
          st.st_atim.tv_nsec;
 }
 
-bool publish_file(const std::string& path, const char* header,
-                  std::size_t header_size, const void* payload,
-                  std::size_t payload_size) {
+/// Writes `bytes` to `path` via a process-unique temp file + atomic rename.
+/// Returns false on I/O error.
+bool publish_file(const std::string& path, std::string_view bytes) {
   // Process-unique temp name: concurrent writers of the same entry never
   // stomp each other's partial file, and rename() makes the publish atomic.
   const std::string tmp =
@@ -65,18 +106,16 @@ bool publish_file(const std::string& path, const char* header,
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return false;
   bool ok = true;
-  auto write_all = [&](const char* p, std::size_t n) {
-    while (n > 0) {
-      const ssize_t w = ::write(fd, p, n);
-      if (w <= 0) return false;
+  const char* p = bytes.data();
+  std::size_t n = bytes.size();
+  while (ok && n > 0) {
+    const ssize_t w = ::write(fd, p, n);
+    if (w <= 0) {
+      ok = false;
+    } else {
       p += w;
       n -= static_cast<std::size_t>(w);
     }
-    return true;
-  };
-  if (header_size > 0) ok = write_all(header, header_size);
-  if (ok && payload_size > 0) {
-    ok = write_all(static_cast<const char*>(payload), payload_size);
   }
   if (::close(fd) != 0) ok = false;
   if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
@@ -84,9 +123,55 @@ bool publish_file(const std::string& path, const char* header,
   return ok;
 }
 
-}  // namespace cache_internal
+/// RAII flock over <root>/.lock.  Writers take it shared (any number of
+/// processes may publish concurrently; publication is rename-atomic); the
+/// GC sweep takes it exclusively so it never unlinks an object another
+/// process is between publishing and indexing.  Readers take no lock at
+/// all: an mmap taken before an unlink stays valid, and index and object
+/// files are immutable once published.
+class RootLock {
+ public:
+  RootLock(const std::string& root, bool exclusive) {
+    fd_ = ::open((root + "/.lock").c_str(), O_RDWR | O_CREAT | O_CLOEXEC,
+                 0644);
+    if (fd_ >= 0) ::flock(fd_, exclusive ? LOCK_EX : LOCK_SH);
+  }
+  ~RootLock() {
+    if (fd_ >= 0) {
+      ::flock(fd_, LOCK_UN);
+      ::close(fd_);
+    }
+  }
+  RootLock(const RootLock&) = delete;
+  RootLock& operator=(const RootLock&) = delete;
 
-// --- shared GC sweep --------------------------------------------------------
+ private:
+  int fd_ = -1;
+};
+
+/// Calls fn(path, header) for every well-formed index file under <root>.
+template <typename Fn>
+void for_each_index(const std::string& root, Fn&& fn) {
+  std::error_code ec;
+  for (fs::directory_iterator stage_it(root + "/index", ec);
+       !ec && stage_it != fs::directory_iterator(); ++stage_it) {
+    if (!stage_it->is_directory(ec)) continue;
+    std::error_code ec2;
+    for (fs::directory_iterator it(stage_it->path(), ec2);
+         !ec2 && it != fs::directory_iterator(); ++it) {
+      if (!it->is_regular_file(ec2)) continue;
+      char raw[kIndexSize];
+      const std::string path = it->path().string();
+      if (read_index(path, raw) != static_cast<ssize_t>(kIndexSize) ||
+          std::memcmp(raw, kIndexMagic, 8) != 0) {
+        continue;
+      }
+      fn(path, decode_index(raw));
+    }
+  }
+}
+
+}  // namespace
 
 GcStats gc_sweep(std::vector<CacheEntryInfo> all, std::uint64_t max_bytes) {
   GcStats stats;
@@ -113,190 +198,171 @@ GcStats gc_sweep(std::vector<CacheEntryInfo> all, std::uint64_t max_bytes) {
   return stats;
 }
 
-Result<GcStats> CacheStore::gc(std::uint64_t max_bytes) const {
-  FPGADBG_ASSIGN_OR_RETURN(std::vector<CacheEntryInfo> all, entries());
-  return gc_sweep(std::move(all), max_bytes);
+std::string ArtifactCache::entry_path(const std::string& stage,
+                                      std::uint64_t key) const {
+  if (!enabled()) return {};
+  return root_ + "/index/" + stage + "/" + hex64(key);
 }
 
-// --- directory backend ------------------------------------------------------
-
-namespace {
-
-class DirCacheStore final : public CacheStore {
- public:
-  explicit DirCacheStore(std::string dir) : dir_(std::move(dir)) {}
-
-  std::string entry_path(const std::string& stage,
-                         std::uint64_t key) const override {
-    return dir_ + "/" + stage + "/" + hex64(key);
-  }
-
-  Result<std::optional<CacheHit>> load(const std::string& stage,
-                                       std::uint64_t key) const override {
-    auto& m = telemetry::metrics();
-    const std::string path = entry_path(stage, key);
-
-    struct stat st;
-    if (::stat(path.c_str(), &st) != 0) {
-      if (errno != ENOENT) {
-        return Status::io_error("cannot stat cache entry " + path + ": " +
-                                std::strerror(errno));
-      }
-      m.counter("flow.cache.misses").add();
-      return std::optional<CacheHit>();
-    }
-
-    // Fail fast on truncation BEFORE touching any payload byte: the fixed
-    // header carries the payload size, so a short file is detected from
-    // the first 64 bytes, not discovered at the end of a full digest pass.
-    if (static_cast<std::size_t>(st.st_size) < kEntryHeaderSize) {
-      return Status::corrupt_artifact(
-          "cache entry " + path +
-          ": shorter than the fixed header (truncated)");
-    }
-
-    FPGADBG_ASSIGN_OR_RETURN(std::shared_ptr<MmapRegion> region,
-                             MmapRegion::map_file(path));
-    const std::string_view file = region->view();
-    if (std::memcmp(file.data(), kLegacyMagic, 8) == 0) {
-      // Pre-mmap entry format: rebuilt, never misparsed.
-      m.counter("flow.cache.misses").add();
-      return std::optional<CacheHit>();
-    }
-    if (std::memcmp(file.data(), kDirMagic, 8) != 0) {
-      return Status::corrupt_artifact("cache entry " + path +
-                                      ": bad magic (not an artifact file)");
-    }
-    const EntryHeader h = decode_header(file.data());
-    if (h.stage_hash != fnv1a(stage) || h.key != key) {
-      return Status::corrupt_artifact("cache entry " + path +
-                                      ": mislabeled header");
-    }
-    if (h.payload_size != file.size() - kEntryHeaderSize) {
-      return Status::corrupt_artifact(
-          "cache entry " + path +
-          ": payload size does not match the file (truncated)");
-    }
-    const std::string_view payload = file.substr(kEntryHeaderSize);
-    if (fnv1a(payload) != h.payload_hash) {
-      return Status::corrupt_artifact(
-          "cache entry " + path +
-          ": payload hash mismatch (file is damaged); delete it to "
-          "recompute");
-    }
-
-    touch_atime(path);
-    m.counter("flow.cache.hits").add();
-    m.counter("flow.cache.bytes_read").add(payload.size());
-    m.counter("flow.cache.mmap_hits").add();
-    m.counter("flow.cache.bytes_mapped").add(payload.size());
-    CacheHit hit;
-    hit.payload = payload;
-    hit.content_hash = h.payload_hash;
-    hit.mapped = true;
-    hit.backing = std::move(region);
-    return std::optional<CacheHit>(std::move(hit));
-  }
-
-  Status store(const std::string& stage, std::uint64_t key,
-               std::uint64_t content_hash,
-               std::string_view bytes) const override {
-    const std::string path = entry_path(stage, key);
-    std::error_code ec;
-    fs::create_directories(fs::path(path).parent_path(), ec);
-    if (ec) {
-      return Status::io_error("cannot create cache directory for " + path +
-                              ": " + ec.message());
-    }
-    char header[kEntryHeaderSize];
-    encode_header(header, kDirMagic,
-                  EntryHeader{fnv1a(stage), key, content_hash, bytes.size()});
-    if (!publish_file(path, header, sizeof header, bytes.data(),
-                      bytes.size())) {
-      return Status::io_error("cannot publish cache entry " + path + ": " +
-                              std::strerror(errno));
-    }
-    auto& m = telemetry::metrics();
-    m.counter("flow.cache.stores").add();
-    m.counter("flow.cache.bytes_written").add(bytes.size());
-    return Status();
-  }
-
-  Result<std::vector<CacheEntryInfo>> entries() const override {
-    std::vector<CacheEntryInfo> all;
-    std::error_code ec;
-    for (fs::directory_iterator stage_it(dir_, ec);
-         !ec && stage_it != fs::directory_iterator(); ++stage_it) {
-      if (!stage_it->is_directory(ec)) continue;
-      std::error_code ec2;
-      for (fs::directory_iterator it(stage_it->path(), ec2);
-           !ec2 && it != fs::directory_iterator(); ++it) {
-        if (!it->is_regular_file(ec2)) continue;
-        CacheEntryInfo e;
-        e.path = it->path().string();
-        e.bytes = it->file_size(ec2);
-        e.atime_ns = read_atime_ns(e.path);
-        all.push_back(std::move(e));
-      }
-    }
-    return all;
-  }
-
-  std::string describe() const override { return "dir:" + dir_; }
-
- private:
-  std::string dir_;
-};
-
-}  // namespace
-
-std::unique_ptr<CacheStore> make_dir_cache_store(std::string dir) {
-  return std::make_unique<DirCacheStore>(std::move(dir));
-}
-
-// --- facade -----------------------------------------------------------------
-
-ArtifactCache::ArtifactCache(std::string cache_dir)
-    : location_(std::move(cache_dir)) {
-  if (!location_.empty()) store_ = make_dir_cache_store(location_);
-}
-
-ArtifactCache ArtifactCache::for_options(const std::string& backend,
-                                         const std::string& cache_dir,
-                                         const std::string& shared_root) {
-  const bool cas = backend == "cas" || (backend.empty() && !shared_root.empty());
-  ArtifactCache cache;
-  if (cas) {
-    cache.location_ = shared_root.empty() ? cache_dir : shared_root;
-    if (!cache.location_.empty()) {
-      cache.store_ = make_cas_cache_store(cache.location_);
-    }
-  } else {
-    cache.location_ = cache_dir;
-    if (!cache.location_.empty()) {
-      cache.store_ = make_dir_cache_store(cache.location_);
-    }
-  }
-  return cache;
+std::string ArtifactCache::object_path(std::uint64_t content_hash) const {
+  return root_ + "/cas/" + hex64(content_hash);
 }
 
 Result<std::optional<CacheHit>> ArtifactCache::load(const std::string& stage,
                                                     std::uint64_t key) const {
   if (!enabled()) return std::optional<CacheHit>();
-  return store_->load(stage, key);
+  auto& m = telemetry::metrics();
+  auto miss = [&m] {
+    m.counter("flow.cache.misses").add();
+    return std::optional<CacheHit>();
+  };
+  const std::string index = entry_path(stage, key);
+
+  char raw[kIndexSize];
+  const ssize_t n = read_index(index, raw);
+  if (n < 0) {
+    if (errno == ENOENT) return miss();
+    return Status::io_error("cannot read cache index " + index + ": " +
+                            std::strerror(errno));
+  }
+  if (n != static_cast<ssize_t>(kIndexSize)) {
+    return Status::corrupt_artifact(
+        "cache index " + index + ": shorter than the fixed header (truncated)");
+  }
+  if (std::memcmp(raw, kIndexMagic, 8) != 0) {
+    return Status::corrupt_artifact("cache index " + index +
+                                    ": bad magic (not an index file)");
+  }
+  const IndexHeader h = decode_index(raw);
+  if (h.stage_hash != fnv1a(stage) || h.key != key) {
+    return Status::corrupt_artifact("cache index " + index +
+                                    ": mislabeled header");
+  }
+
+  // One open: a GC sweep may unlink the object at any moment, and an object
+  // gone at open time is a dangling index, i.e. a miss that the stage
+  // rebuilds and re-publishes.  Once mapped, the object stays readable.
+  const std::string object = object_path(h.payload_hash);
+  Result<std::shared_ptr<MmapRegion>> region = MmapRegion::map_file(object);
+  if (!region.ok()) {
+    if (region.status().code() == support::StatusCode::kNotFound) {
+      return miss();
+    }
+    return region.status();
+  }
+  const std::string_view payload = region.value()->view();
+  // Size check before the digest pass: truncation fails fast.
+  if (payload.size() != h.payload_size) {
+    return Status::corrupt_artifact(
+        "cache object " + object +
+        ": size does not match its index (truncated)");
+  }
+  if (fnv1a(payload) != h.payload_hash) {
+    return Status::corrupt_artifact(
+        "cache object " + object +
+        ": content hash mismatch (object is damaged); delete it to "
+        "recompute");
+  }
+
+  touch_atime(object);
+  m.counter("flow.cache.hits").add();
+  m.counter("flow.cache.bytes_read").add(payload.size());
+  m.counter("flow.cache.mmap_hits").add();
+  m.counter("flow.cache.bytes_mapped").add(payload.size());
+  CacheHit hit;
+  hit.payload = payload;
+  hit.content_hash = h.payload_hash;
+  hit.backing = std::move(region).value();
+  return std::optional<CacheHit>(std::move(hit));
 }
 
 Status ArtifactCache::store(const std::string& stage, std::uint64_t key,
                             std::uint64_t content_hash,
                             std::string_view bytes) const {
   if (!enabled()) return Status();
-  return store_->store(stage, key, content_hash, bytes);
+  const std::string index = entry_path(stage, key);
+  const std::string object = object_path(content_hash);
+  std::error_code ec;
+  fs::create_directories(root_ + "/cas", ec);
+  if (!ec) fs::create_directories(fs::path(index).parent_path(), ec);
+  if (ec) {
+    return Status::io_error("cannot create cache directories under " + root_ +
+                            ": " + ec.message());
+  }
+
+  RootLock lock(root_, /*exclusive=*/false);
+
+  // Object first, then the index naming it: a reader can race the pair and
+  // see index-without-object only for entries GC removed, never for entries
+  // mid-publish.  Content-named files are immutable, so when the object
+  // already exists (same bytes by construction) the write is skipped
+  // entirely; that is the dedup.
+  struct stat st;
+  const bool have_object =
+      ::stat(object.c_str(), &st) == 0 &&
+      static_cast<std::uint64_t>(st.st_size) == bytes.size();
+  if (!have_object && !publish_file(object, bytes)) {
+    return Status::io_error("cannot publish cache object " + object + ": " +
+                            std::strerror(errno));
+  }
+  char header[kIndexSize];
+  encode_index(header, IndexHeader{fnv1a(stage), key, content_hash,
+                                   bytes.size()});
+  if (!publish_file(index, std::string_view(header, sizeof header))) {
+    return Status::io_error("cannot publish cache index " + index + ": " +
+                            std::strerror(errno));
+  }
+  auto& m = telemetry::metrics();
+  m.counter("flow.cache.stores").add();
+  m.counter("flow.cache.bytes_written").add(have_object ? 0 : bytes.size());
+  return Status();
 }
 
-std::string ArtifactCache::entry_path(const std::string& stage,
-                                      std::uint64_t key) const {
-  if (!enabled()) return {};
-  return store_->entry_path(stage, key);
+std::vector<CacheEntryInfo> ArtifactCache::entries() const {
+  std::vector<CacheEntryInfo> all;
+  std::error_code ec;
+  for (fs::directory_iterator it(root_ + "/cas", ec);
+       !ec && it != fs::directory_iterator(); ++it) {
+    if (!it->is_regular_file(ec)) continue;
+    CacheEntryInfo e;
+    e.path = it->path().string();
+    e.bytes = it->file_size(ec);
+    e.atime_ns = read_atime_ns(e.path);
+    all.push_back(std::move(e));
+  }
+  // Attach each index file to the object it names, so sweeping an object
+  // also drops the keys that point at it.
+  std::vector<std::pair<std::string, std::size_t>> by_name;
+  by_name.reserve(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    by_name.emplace_back(fs::path(all[i].path).filename().string(), i);
+  }
+  std::sort(by_name.begin(), by_name.end());
+  for_each_index(root_, [&](const std::string& path, const IndexHeader& h) {
+    const std::string name = hex64(h.payload_hash);
+    const auto it = std::lower_bound(
+        by_name.begin(), by_name.end(), name,
+        [](const auto& a, const std::string& b) { return a.first < b; });
+    if (it != by_name.end() && it->first == name) {
+      all[it->second].index_paths.push_back(path);
+    }
+  });
+  return all;
+}
+
+Result<GcStats> ArtifactCache::gc(std::uint64_t max_bytes) const {
+  if (!enabled()) return GcStats{};
+  RootLock lock(root_, /*exclusive=*/true);
+  GcStats stats = gc_sweep(entries(), max_bytes);
+  // Dangling indexes (object already swept, or a crashed writer) are noise
+  // for future loads: drop them while we hold the exclusive lock.
+  for_each_index(root_, [&](const std::string& path, const IndexHeader& h) {
+    struct stat st;
+    if (::stat(object_path(h.payload_hash).c_str(), &st) != 0) {
+      ::unlink(path.c_str());
+    }
+  });
+  return stats;
 }
 
 }  // namespace fpgadbg::flow

@@ -102,7 +102,7 @@ Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
   return *std::move(value);
 }
 
-/// Adapts a legacy `ser(value, writer)` serializer into an encode callback.
+/// Adapts a `ser(value, writer)` stream serializer into an encode callback.
 template <typename Ser>
 auto stream_encode(Ser ser) {
   return [ser](const auto& value) {
@@ -112,7 +112,7 @@ auto stream_encode(Ser ser) {
   };
 }
 
-/// Adapts a legacy `deser(reader)` deserializer into a load callback (the
+/// Adapts a `deser(reader)` stream deserializer into a load callback (the
 /// stream format has no version fan-out, so it never returns nullopt).
 template <typename T, typename Deser>
 auto stream_load(Deser deser) {
@@ -138,10 +138,7 @@ const char* stage_name(StageId id) {
 }
 
 Pipeline::Pipeline(debug::OfflineOptions options)
-    : options_(std::move(options)),
-      cache_(ArtifactCache::for_options(options_.cache_backend,
-                                        options_.cache_dir,
-                                        options_.cache_shared)) {}
+    : options_(std::move(options)), cache_(options_.cache_dir) {}
 
 Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
   telemetry::MetricsRegistry& m = telemetry::metrics();
@@ -227,11 +224,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                                    options_.lut_size,
                                    options_.max_param_leaves);
             },
-            [&](const map::MapResult& v) {
-              return blob_encoding() ? encode_map_result_blob(v)
-                                     : stream_encode(serialize_map_result)(v);
-            },
-            [](const CacheHit& hit) { return load_map_result(hit); }));
+            encode_map_result_blob, load_map_result));
   }
   end_stage();
   offline.map_seconds =
@@ -283,26 +276,24 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                  static_cast<double>(design->packing.num_clusters()) *
                  copt.device_slack)));
       design->device = std::make_unique<arch::Device>(copt.arch, min_clbs);
-      if (cache_.enabled() && blob_encoding()) {
-        const std::uint64_t rr_key = stage_key(
-            "rr-graph", hash_arch_params(copt.arch),
-            static_cast<std::uint64_t>(min_clbs));
-        auto loaded = cache_.load("rr-graph", rr_key);
-        if (!loaded.ok()) return Status(loaded.status()).with_stage("pack");
-        if (loaded.value().has_value()) {
-          auto rr = load_rr_graph_blob(*design->device, *loaded.value());
-          if (!rr.ok()) return Status(rr.status()).with_stage("pack");
-          if (rr.value().has_value()) design->rr = std::move(*rr.value());
-        }
-        if (!design->rr) {
-          design->rr = std::make_unique<arch::RRGraph>(*design->device);
+      const std::uint64_t rr_key =
+          stage_key("rr-graph", hash_arch_params(copt.arch),
+                    static_cast<std::uint64_t>(min_clbs));
+      auto loaded = cache_.load("rr-graph", rr_key);
+      if (!loaded.ok()) return Status(loaded.status()).with_stage("pack");
+      if (loaded.value().has_value()) {
+        auto rr = load_rr_graph_blob(*design->device, *loaded.value());
+        if (!rr.ok()) return Status(rr.status()).with_stage("pack");
+        if (rr.value().has_value()) design->rr = std::move(*rr.value());
+      }
+      if (!design->rr) {
+        design->rr = std::make_unique<arch::RRGraph>(*design->device);
+        if (cache_.enabled()) {
           const std::string bytes = encode_rr_graph_blob(*design->rr);
           Status stored =
               cache_.store("rr-graph", rr_key, fnv1a(bytes), bytes);
           if (!stored.ok()) return stored.with_stage("pack");
         }
-      } else {
-        design->rr = std::make_unique<arch::RRGraph>(*design->device);
       }
       design->frames =
           std::make_unique<arch::FrameGeometry>(*design->device, *design->rr);
@@ -415,11 +406,7 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
                     bitstream::build_pconf(*offline.compiled, &stats);
                 return PconfArtifact{std::move(pconf), stats};
               },
-              [&](const PconfArtifact& v) {
-                return blob_encoding() ? encode_pconf_blob(v)
-                                       : stream_encode(serialize_pconf)(v);
-              },
-              [](const CacheHit& hit) { return load_pconf(hit); }));
+              encode_pconf_blob, load_pconf));
       offline.pconf =
           std::make_unique<bitstream::PConf>(std::move(artifact.pconf));
       offline.pconf_stats = artifact.stats;

@@ -75,11 +75,6 @@ class Pipeline {
   support::Result<PipelineResult> run(const netlist::Netlist& user) const;
 
  private:
-  /// Hot artifacts are blob-encoded unless explicitly set to "stream".
-  bool blob_encoding() const {
-    return options_.artifact_encoding != "stream";
-  }
-
   debug::OfflineOptions options_;
   ArtifactCache cache_;
 };

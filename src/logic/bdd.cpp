@@ -1,7 +1,9 @@
 #include "logic/bdd.h"
 
 #include <algorithm>
+#include <bit>
 #include <set>
+#include <vector>
 
 #include "support/error.h"
 
@@ -43,6 +45,10 @@ support::Status BddManager::adopt_arena(int num_vars, const Node* nodes,
       nodes[1].var != kConstVar || nodes[1].low != 1 || nodes[1].high != 1) {
     return Status::corrupt_artifact("BDD arena: malformed constant nodes");
   }
+  // Open-addressing set of the refs seen so far, keyed by node contents
+  // (slot 0 = empty: decision refs start at 2).
+  std::vector<BddRef> seen(std::bit_ceil(2 * count), 0);
+  const std::size_t mask = seen.size() - 1;
   for (std::size_t ref = 2; ref < count; ++ref) {
     const Node& n = nodes[ref];
     // Children strictly before parents keeps every walk in bounds and
@@ -52,6 +58,17 @@ support::Status BddManager::adopt_arena(int num_vars, const Node* nodes,
       return Status::corrupt_artifact(
           "BDD arena: node breaks the ordering invariant");
     }
+    // make_node hash-conses, so a canonical arena never repeats a node;
+    // a repeat would break pointer equality of equal functions.
+    std::size_t slot = NodeKeyHash{}(NodeKey{n.var, n.low, n.high}) & mask;
+    for (; seen[slot] != 0; slot = (slot + 1) & mask) {
+      const Node& m = nodes[seen[slot]];
+      if (m.var == n.var && m.low == n.low && m.high == n.high) {
+        return Status::corrupt_artifact(
+            "BDD arena: duplicate node (not canonical)");
+      }
+    }
+    seen[slot] = static_cast<BddRef>(ref);
   }
   num_vars_ = std::max(num_vars_, num_vars);
   nodes_.clear();
@@ -72,8 +89,7 @@ void BddManager::thaw() {
   unique_.reserve(nodes_.size());
   for (BddRef ref = 2; ref < nodes_.size(); ++ref) {
     const Node& n = nodes_[ref];
-    // First occurrence wins; a (digest-verified) canonical arena has no
-    // duplicates anyway.
+    // adopt_arena rejected duplicates, so every key is new.
     unique_.try_emplace(NodeKey{n.var, n.low, n.high}, ref);
   }
 }

@@ -121,11 +121,10 @@ class BddManager {
   /// nodes living inside `backing` (typically an mmap'd blob).  Validates
   /// the structural invariants that keep every read in bounds — constants
   /// at [0,2), children strictly before parents, variables within
-  /// `num_vars`, low != high — and rejects violations as
-  /// kCorruptArtifact.  Canonicity (no duplicate nodes) is trusted from
-  /// the digest-verified producer: a duplicate cannot cause an unsafe read
-  /// and is re-consed away if the arena is ever mutated.  After adoption
-  /// reads are zero-copy; the first make_node materializes an owned copy.
+  /// `num_vars`, low != high — and canonicity (no duplicate nodes, so equal
+  /// functions keep equal refs), rejecting violations as kCorruptArtifact.
+  /// After adoption reads are zero-copy; the first make_node materializes
+  /// an owned copy.
   support::Status adopt_arena(int num_vars, const Node* nodes,
                               std::size_t count,
                               std::shared_ptr<const void> backing);

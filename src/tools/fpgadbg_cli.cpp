@@ -26,8 +26,8 @@
 //   fpgadbg export <design.blif> <out.v> [--par f.par] [--mapper sm|abc|tcon]
 //       technology-map and write structural Verilog
 //   fpgadbg cache gc --max-bytes <N>
-//       LRU sweep of the artifact cache (whichever backend the global cache
-//       options select): evict least-recently-used entries until the total
+//       LRU sweep of the --cache-dir artifact cache: evict least-recently-
+//       used objects (and the index entries naming them) until the total
 //       payload size is at most N bytes
 //   fpgadbg report <session.jsonl> [<metrics.json>] [--top N] [--serve PORT]
 //       analyse a session journal (--journal output): per-turn SCG/DPR
@@ -38,20 +38,12 @@
 //       and keeps serving (default linger 3600 s, GET /quitz to stop)
 //
 // Global options (valid with every subcommand, --flag value or --flag=value):
-//   --cache-dir <dir>      artifact cache for the offline pipeline (flow,
-//                          profile): re-runs skip stages whose inputs and
-//                          options are unchanged
-//   --cache-backend <b>    cache storage backend: dir (default, one file
-//                          per entry) or cas (content-addressed store,
-//                          shareable between concurrent processes)
-//   --cache-shared <root>  root of a shared content-addressed cache;
-//                          implies --cache-backend cas.  Point any number
-//                          of fpgadbg processes at one root and they
-//                          share artifacts (atomic publish, lock-free
+//   --cache-dir <dir>      content-addressed artifact cache for the offline
+//                          pipeline (flow, profile): re-runs skip stages
+//                          whose inputs and options are unchanged.  Any
+//                          number of fpgadbg processes may share one
+//                          directory (atomic publish, lock-free mmap
 //                          reads)
-//   --artifact-encoding <e> blob (zero-copy mmap, default) or stream
-//                          (legacy parse); loads sniff the stored format,
-//                          so flipping the knob never invalidates a cache
 //   --trace <file.json>    collect TraceScope spans and write a Chrome-trace
 //                          JSON timeline (chrome://tracing, Perfetto)
 //   --metrics <file.json>  write the metrics registry snapshot as JSON
@@ -174,14 +166,9 @@ int usage() {
                " address printed on stderr)\n"
                "  --introspect-linger <seconds>  keep serving after the"
                " command finishes, until the timeout or a GET /quitz\n"
-               "  --cache-dir <dir>      artifact cache for the offline"
-               " pipeline (flow, profile)\n"
-               "  --cache-backend <b>    dir (default) or cas"
-               " (content-addressed, multi-process shareable)\n"
-               "  --cache-shared <root>  shared CAS root (implies"
-               " --cache-backend cas)\n"
-               "  --artifact-encoding <e> blob (zero-copy mmap, default) or"
-               " stream (legacy parse)\n"
+               "  --cache-dir <dir>      content-addressed artifact cache"
+               " for the offline pipeline (flow, profile); shareable by"
+               " concurrent processes\n"
                "  --trace <file.json>    write Chrome-trace/Perfetto span"
                " timeline\n"
                "  --metrics <file.json>  write metrics registry snapshot as"
@@ -233,9 +220,6 @@ struct Args {
   }
   std::vector<std::string> raw;
   std::string cache_dir;     ///< global --cache-dir, empty = caching disabled
-  std::string cache_backend; ///< global --cache-backend: "" | "dir" | "cas"
-  std::string cache_shared;  ///< global --cache-shared CAS root
-  std::string artifact_encoding;  ///< global --artifact-encoding
   std::string journal_path;  ///< global --journal, empty = no JSONL sink
 };
 
@@ -426,31 +410,18 @@ support::Result<int> cmd_map(const Args& args) {
   return 0;
 }
 
-/// Copies the global cache/encoding knobs into the pipeline options.
-void apply_cache_options(const Args& args, debug::OfflineOptions& options) {
-  options.cache_dir = args.cache_dir;
-  options.cache_backend = args.cache_backend;
-  options.cache_shared = args.cache_shared;
-  if (!args.artifact_encoding.empty()) {
-    options.artifact_encoding = args.artifact_encoding;
-  }
-}
-
 /// Shared offline-stage driver for flow/profile: runs the staged pipeline
-/// (honoring the --cache-* options) and prints a stage/cache summary.
+/// (honoring --cache-dir) and prints a stage/cache summary.
 support::Result<debug::OfflineResult> run_pipeline(
     const netlist::Netlist& nl, const debug::OfflineOptions& options) {
   flow::Pipeline pipeline(options);
   FPGADBG_ASSIGN_OR_RETURN(flow::PipelineResult result, pipeline.run(nl));
-  if (!options.cache_dir.empty() || !options.cache_shared.empty()) {
-    const std::string& where =
-        !options.cache_shared.empty() ? options.cache_shared
-                                      : options.cache_dir;
+  if (!options.cache_dir.empty()) {
     const telemetry::MetricsSnapshot snap = telemetry::metrics().snapshot();
     std::printf("pipeline: %zu stages executed, %zu from cache (%s), "
                 "%llu mmap hits / %llu bytes mapped\n",
                 result.stages_executed, result.stages_from_cache,
-                where.c_str(),
+                options.cache_dir.c_str(),
                 static_cast<unsigned long long>(
                     snap.counter("flow.cache.mmap_hits")),
                 static_cast<unsigned long long>(
@@ -464,7 +435,7 @@ support::Result<int> cmd_flow(const Args& args) {
   FPGADBG_ASSIGN_OR_RETURN(const netlist::Netlist nl,
                            netlist::try_read_blif_file(args.positional[0]));
   debug::OfflineOptions options;
-  apply_cache_options(args, options);
+  options.cache_dir = args.cache_dir;
   if (auto w = args.option("--width")) {
     options.instrument.trace_width = to_count(*w, "--width");
   }
@@ -511,7 +482,7 @@ support::Result<int> cmd_profile(const Args& args) {
   FPGADBG_ASSIGN_OR_RETURN(const netlist::Netlist nl,
                            netlist::try_read_blif_file(args.positional[0]));
   debug::OfflineOptions options;
-  apply_cache_options(args, options);
+  options.cache_dir = args.cache_dir;
   if (auto w = args.option("--width")) {
     options.instrument.trace_width = to_count(*w, "--width");
   }
@@ -1048,15 +1019,14 @@ support::Result<int> cmd_report(const Args& args) {
   return 0;
 }
 
-/// `fpgadbg cache gc --max-bytes N`: LRU-by-atime sweep over whichever
-/// backend the global cache options select (dir or cas).
+/// `fpgadbg cache gc --max-bytes N`: LRU-by-atime sweep over the
+/// --cache-dir cache.
 support::Result<int> cmd_cache(const Args& args) {
   if (args.positional.empty() || args.positional[0] != "gc") return usage();
-  const flow::ArtifactCache cache = flow::ArtifactCache::for_options(
-      args.cache_backend, args.cache_dir, args.cache_shared);
+  const flow::ArtifactCache cache(args.cache_dir);
   if (!cache.enabled()) {
     return support::Status::invalid_argument(
-        "cache gc: no cache configured (use --cache-dir or --cache-shared)");
+        "cache gc: no cache configured (use --cache-dir)");
   }
   const auto max = args.option("--max-bytes");
   if (!max) {
@@ -1064,11 +1034,10 @@ support::Result<int> cmd_cache(const Args& args) {
         "cache gc: --max-bytes <N> is required");
   }
   const std::uint64_t max_bytes = to_count(*max, "--max-bytes");
-  FPGADBG_ASSIGN_OR_RETURN(const flow::GcStats stats,
-                           cache.backend()->gc(max_bytes));
+  FPGADBG_ASSIGN_OR_RETURN(const flow::GcStats stats, cache.gc(max_bytes));
   std::printf("cache gc (%s): kept %zu entries / %llu bytes, evicted %zu "
               "entries / %llu bytes (budget %llu)\n",
-              cache.backend()->describe().c_str(),
+              args.cache_dir.c_str(),
               stats.scanned_entries - stats.removed_entries,
               static_cast<unsigned long long>(stats.scanned_bytes -
                                               stats.removed_bytes),
@@ -1317,7 +1286,6 @@ int main(int argc, char** argv) {
 
   // Peel global options off the token stream; the rest is command + args.
   std::string trace_path, metrics_path, prom_path, cache_dir, journal_path;
-  std::string cache_backend, cache_shared, artifact_encoding;
   bool introspect = false;
   int introspect_port = 0;
   std::vector<std::string> rest;
@@ -1325,9 +1293,8 @@ int main(int argc, char** argv) {
     const std::string t = tokens[i];
     if (t == "--trace" || t == "--metrics" || t == "--prom" ||
         t == "--journal" || t == "--log-level" || t == "--log-format" ||
-        t == "--cache-dir" || t == "--cache-backend" ||
-        t == "--cache-shared" || t == "--artifact-encoding" ||
-        t == "--introspect" || t == "--introspect-linger") {
+        t == "--cache-dir" || t == "--introspect" ||
+        t == "--introspect-linger") {
       if (i + 1 >= tokens.size()) {
         std::fprintf(stderr, "fpgadbg: %s requires a value\n", t.c_str());
         return kUsageExit;
@@ -1343,22 +1310,6 @@ int main(int argc, char** argv) {
         journal_path = value;
       } else if (t == "--cache-dir") {
         cache_dir = value;
-      } else if (t == "--cache-backend") {
-        if (value != "dir" && value != "cas") {
-          std::fprintf(stderr, "fpgadbg: invalid --cache-backend '%s' (want "
-                       "dir|cas)\n", value.c_str());
-          return kUsageExit;
-        }
-        cache_backend = value;
-      } else if (t == "--cache-shared") {
-        cache_shared = value;
-      } else if (t == "--artifact-encoding") {
-        if (value != "blob" && value != "stream") {
-          std::fprintf(stderr, "fpgadbg: invalid --artifact-encoding '%s' "
-                       "(want blob|stream)\n", value.c_str());
-          return kUsageExit;
-        }
-        artifact_encoding = value;
       } else if (t == "--introspect") {
         char* end = nullptr;
         const long port = std::strtol(value.c_str(), &end, 10);
@@ -1422,9 +1373,6 @@ int main(int argc, char** argv) {
   const std::string command = rest[0];
   Args args = parse(rest, 1);
   args.cache_dir = cache_dir;
-  args.cache_backend = cache_backend;
-  args.cache_shared = cache_shared;
-  args.artifact_encoding = artifact_encoding;
   args.journal_path = journal_path;
 
   // Every subcommand reports failure as a Result; stray exceptions from

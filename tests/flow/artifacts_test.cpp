@@ -1,14 +1,19 @@
-// Artifact round-trip tests: serialize -> hash -> deserialize -> re-serialize
-// -> re-hash must be the identity on the content hash for every stage
-// artifact.  This is the property the cache depends on: a loaded artifact is
-// indistinguishable (bytes and downstream hashes) from a computed one.
+// Artifact round-trip tests: encode -> hash -> load -> re-encode -> re-hash
+// must be the identity on the content hash for every stage artifact, in the
+// one encoding the cache stores it in (stream for instrument/pack/place/
+// route, blob for tcon-map/pconf-build).  This is the property the cache
+// depends on: a loaded artifact is indistinguishable (bytes and downstream
+// hashes) from a computed one.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "bitstream/builder.h"
 #include "debug/signal_param.h"
 #include "flow/artifacts.h"
+#include "flow/blob.h"
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "pnr/flow.h"
@@ -47,6 +52,32 @@ std::pair<T, std::uint64_t> round_trip(const T& value, Ser ser, Deser deser) {
   return {std::move(restored).value(), hash1};
 }
 
+/// A cache hit over an in-memory copy of `bytes`, aligned and kept alive
+/// like an mmap'd cache object.
+CacheHit hit_over(const std::string& bytes) {
+  auto buffer = std::make_shared<AlignedBlobBuffer>(bytes);
+  CacheHit hit;
+  hit.payload = buffer->view();
+  hit.content_hash = fnv1a(hit.payload);
+  hit.backing = std::move(buffer);
+  return hit;
+}
+
+/// Blob-encodes with `encode`, loads the image back, re-encodes, and checks
+/// that the two images (and therefore the two content hashes) are identical.
+template <typename T, typename Encode, typename Load>
+std::optional<T> blob_round_trip(const T& value, Encode encode, Load load) {
+  const std::string image = encode(value);
+  auto restored = load(hit_over(image));
+  if (!restored.ok() || !restored.value().has_value()) {
+    ADD_FAILURE() << (restored.ok() ? "format version mismatch"
+                                    : restored.status().to_string());
+    return std::nullopt;
+  }
+  EXPECT_EQ(encode(*restored.value()), image);
+  return std::move(restored.value());
+}
+
 TEST(Artifacts, NetlistRoundTrip) {
   const auto nl = small_user(1);
   auto [restored, hash] =
@@ -73,32 +104,41 @@ TEST(Artifacts, InstrumentedRoundTrip) {
 TEST(Artifacts, MappedNetlistRoundTrip) {
   const auto inst = small_instrumented(3);
   const auto mapping = map::tcon_map(inst.netlist);
-  auto [restored, hash] = round_trip(mapping.netlist, serialize_mapped_netlist,
-                                     deserialize_mapped_netlist);
-  (void)hash;
-  EXPECT_EQ(restored.num_cells(), mapping.netlist.num_cells());
-  EXPECT_EQ(restored.count(map::MKind::kTcon),
+  const auto restored =
+      blob_round_trip(mapping, encode_map_result_blob, load_map_result);
+  ASSERT_TRUE(restored);
+  // The blob loader rebuilds the netlist cell by cell; the rebuilt netlist
+  // serializes to exactly the original's stream bytes.
+  ByteWriter want;
+  serialize_mapped_netlist(mapping.netlist, want);
+  ByteWriter got;
+  serialize_mapped_netlist(restored->netlist, got);
+  EXPECT_EQ(got.bytes(), want.bytes());
+  EXPECT_EQ(restored->netlist.num_cells(), mapping.netlist.num_cells());
+  EXPECT_EQ(restored->netlist.count(map::MKind::kTcon),
             mapping.netlist.count(map::MKind::kTcon));
-  EXPECT_EQ(restored.lut_area(), mapping.netlist.lut_area());
+  EXPECT_EQ(restored->netlist.lut_area(), mapping.netlist.lut_area());
 }
 
 TEST(Artifacts, MapResultRoundTripDropsWallClock) {
   const auto inst = small_instrumented(4);
   auto mapping = map::tcon_map(inst.netlist);
+  const std::string blob = encode_map_result_blob(mapping);
   ByteWriter w1;
   serialize_map_result(mapping, w1);
   // Volatile timing must not leak into artifact bytes: two runs differing
-  // only in runtime_seconds hash identically.
+  // only in runtime_seconds encode identically in both forms.
   mapping.stats.runtime_seconds += 123.0;
+  EXPECT_EQ(encode_map_result_blob(mapping), blob);
   ByteWriter w2;
   serialize_map_result(mapping, w2);
   EXPECT_EQ(w1.content_hash(), w2.content_hash());
 
-  auto [restored, hash] =
-      round_trip(mapping, serialize_map_result, deserialize_map_result);
-  (void)hash;
-  EXPECT_EQ(restored.stats.num_tcons, mapping.stats.num_tcons);
-  EXPECT_EQ(restored.stats.mapper, mapping.stats.mapper);
+  const auto restored =
+      blob_round_trip(mapping, encode_map_result_blob, load_map_result);
+  ASSERT_TRUE(restored);
+  EXPECT_EQ(restored->stats.num_tcons, mapping.stats.num_tcons);
+  EXPECT_EQ(restored->stats.mapper, mapping.stats.mapper);
 }
 
 /// Runs the physical flow once; placement/routing/pconf tests share it.
@@ -152,17 +192,32 @@ TEST(Artifacts, PackingPlacementRoutingRoundTrip) {
 
 TEST(Artifacts, PconfRoundTrip) {
   const Physical phys = compile_small(6);
-  PconfArtifact artifact{phys.pconf, phys.stats};
-  auto [restored, hash] =
-      round_trip(artifact, serialize_pconf, deserialize_pconf);
-  (void)hash;
-  EXPECT_EQ(restored.pconf.total_bits(), phys.pconf.total_bits());
-  EXPECT_EQ(restored.pconf.num_parameterized_bits(),
+  const PconfArtifact artifact{phys.pconf, phys.stats};
+  const auto restored =
+      blob_round_trip(artifact, encode_pconf_blob, load_pconf);
+  ASSERT_TRUE(restored);
+  EXPECT_TRUE(restored->pconf.functions_borrowed());
+  EXPECT_EQ(restored->pconf.total_bits(), phys.pconf.total_bits());
+  EXPECT_EQ(restored->pconf.num_parameterized_bits(),
             phys.pconf.num_parameterized_bits());
-  EXPECT_EQ(restored.pconf.param_names(), phys.pconf.param_names());
-  EXPECT_EQ(restored.stats.tlut_cells, phys.stats.tlut_cells);
-  EXPECT_EQ(restored.stats.parameterized_switch_bits,
+  EXPECT_EQ(restored->pconf.param_names(), phys.pconf.param_names());
+  EXPECT_EQ(restored->stats.tlut_cells, phys.stats.tlut_cells);
+  EXPECT_EQ(restored->stats.parameterized_switch_bits,
             phys.stats.parameterized_switch_bits);
+}
+
+TEST(Artifacts, StreamPayloadInBlobStageIsCorrupt) {
+  // The hot artifacts have one encoding: a payload that is not a blob image
+  // (for example stream bytes) is reported, not parsed another way.
+  const auto inst = small_instrumented(8);
+  ByteWriter w;
+  serialize_map_result(map::tcon_map(inst.netlist), w);
+  const auto map_load = load_map_result(hit_over(w.bytes()));
+  ASSERT_FALSE(map_load.ok());
+  EXPECT_EQ(map_load.status().code(), support::StatusCode::kCorruptArtifact);
+  const auto pconf_load = load_pconf(hit_over(w.bytes()));
+  ASSERT_FALSE(pconf_load.ok());
+  EXPECT_EQ(pconf_load.status().code(), support::StatusCode::kCorruptArtifact);
 }
 
 TEST(Artifacts, TruncatedBytesAreCorruptNotFatal) {

@@ -5,8 +5,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -165,12 +167,21 @@ TEST(Pipeline, CorruptCacheEntryIsReportedWithStage) {
   Pipeline pipeline(options);
   ASSERT_TRUE(pipeline.run(small_user(7)).ok());
 
-  // Bit-flip every tcon-map entry; the warm run must fail integrity
-  // verification instead of deserializing garbage.
+  // Bit-flip a payload byte of every object a tcon-map index names; the
+  // warm run must fail integrity verification instead of deserializing
+  // garbage.
   for (const auto& entry :
-       std::filesystem::directory_iterator(cache.path + "/tcon-map")) {
-    std::fstream f(entry.path(),
+       std::filesystem::directory_iterator(cache.path + "/index/tcon-map")) {
+    char index[64];
+    std::ifstream(entry.path(), std::ios::binary).read(index, sizeof index);
+    std::uint64_t object_hash = 0;
+    std::memcpy(&object_hash, index + 24, sizeof object_hash);
+    char name[17];
+    std::snprintf(name, sizeof name, "%016llx",
+                  static_cast<unsigned long long>(object_hash));
+    std::fstream f(cache.path + "/cas/" + name,
                    std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good()) << name;
     f.seekg(24);
     const int byte = f.get();
     f.seekp(24);
@@ -199,61 +210,78 @@ TEST(Pipeline, MappingOnlyFlowCachesTwoStages) {
 }
 
 TEST(Pipeline, StreamAndBlobEncodingsAreBitIdentical) {
-  // The zero-copy blob path must be an encoding detail, invisible in the
-  // results: cold and warm runs under "stream" and "blob" all agree bit for
-  // bit on the downstream artifacts.
-  TempCacheDir cache_s("enc_stream");
-  TempCacheDir cache_b("enc_blob");
-  auto opt_s = small_options();
-  opt_s.cache_dir = cache_s.path;
-  opt_s.artifact_encoding = "stream";
-  auto opt_b = small_options();
-  opt_b.cache_dir = cache_b.path;  // default: blob
+  // The cache keeps instrument/pack/place/route as ByteWriter streams and
+  // tcon-map/pconf-build as zero-copy blobs.  The encoding must be invisible
+  // in the results: a warm run that loads every stage agrees bit for bit
+  // with the cold run that computed them.
+  TempCacheDir cache("encodings");
+  auto options = small_options();
+  options.cache_dir = cache.path;
+  auto cold = Pipeline(options).run(small_user(9));
+  auto warm = Pipeline(options).run(small_user(9));
+  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+  EXPECT_EQ(warm.value().stages_from_cache, 6u);
+  const debug::OfflineResult& c = cold.value().offline;
+  const debug::OfflineResult& w = warm.value().offline;
+  ASSERT_TRUE(c.compiled && w.compiled && c.pconf && w.pconf);
 
-  auto cold_s = Pipeline(opt_s).run(small_user(9));
-  auto cold_b = Pipeline(opt_b).run(small_user(9));
-  auto warm_s = Pipeline(opt_s).run(small_user(9));
-  auto warm_b = Pipeline(opt_b).run(small_user(9));
-  for (auto* r : {&cold_s, &cold_b, &warm_s, &warm_b}) {
-    ASSERT_TRUE(r->ok()) << r->status().to_string();
-  }
-  EXPECT_EQ(warm_s.value().stages_from_cache, 6u);
-  EXPECT_EQ(warm_b.value().stages_from_cache, 6u);
+  // Stream-encoded stages re-serialize to the same bytes.
+  const auto stream_bytes = [](const auto& serialize, const auto& value) {
+    ByteWriter out;
+    serialize(value, out);
+    return out.take();
+  };
+  EXPECT_EQ(stream_bytes(serialize_instrumented, w.instrumented),
+            stream_bytes(serialize_instrumented, c.instrumented));
+  EXPECT_EQ(stream_bytes(serialize_packing, w.compiled->packing),
+            stream_bytes(serialize_packing, c.compiled->packing));
+  EXPECT_EQ(stream_bytes(serialize_placement, w.compiled->placement),
+            stream_bytes(serialize_placement, c.compiled->placement));
+  EXPECT_EQ(stream_bytes(serialize_route_result, w.compiled->routing),
+            stream_bytes(serialize_route_result, c.compiled->routing));
+  EXPECT_EQ(w.compiled->report.critical_path_ns,
+            c.compiled->report.critical_path_ns);
 
-  // The warm blob run serves the PConf function table zero-copy from the
-  // mapped cache entry; the stream run owns a parsed copy.
-  EXPECT_TRUE(warm_b.value().offline.pconf->functions_borrowed());
-  EXPECT_FALSE(warm_s.value().offline.pconf->functions_borrowed());
-
-  const auto& base = cold_s.value().offline;
-  for (auto* r : {&cold_b, &warm_s, &warm_b}) {
-    const auto& o = r->value().offline;
-    EXPECT_EQ(o.compiled->placement.cluster_pos,
-              base.compiled->placement.cluster_pos);
-    EXPECT_EQ(o.compiled->report.critical_path_ns,
-              base.compiled->report.critical_path_ns);
-    EXPECT_EQ(o.pconf->total_bits(), base.pconf->total_bits());
-    ASSERT_EQ(o.pconf->num_parameterized_bits(),
-              base.pconf->num_parameterized_bits());
-    const bitstream::FunctionView got = o.pconf->functions();
-    const bitstream::FunctionView want = base.pconf->functions();
-    ASSERT_EQ(got.count, want.count);
-    for (std::size_t i = 0; i < got.count; ++i) {
-      EXPECT_EQ(got.bits[i], want.bits[i]) << i;
-      EXPECT_EQ(got.refs[i], want.refs[i]) << i;
-    }
+  // Blob-encoded stages: the mapping re-encodes to the same blob, and the
+  // warm PConf serves its function table zero-copy from the mapped object
+  // with every function equal to the computed one.
+  EXPECT_EQ(encode_map_result_blob(w.mapping),
+            encode_map_result_blob(c.mapping));
+  EXPECT_TRUE(w.pconf->functions_borrowed());
+  EXPECT_FALSE(c.pconf->functions_borrowed());
+  EXPECT_EQ(w.pconf->total_bits(), c.pconf->total_bits());
+  ASSERT_EQ(w.pconf->num_parameterized_bits(),
+            c.pconf->num_parameterized_bits());
+  const bitstream::FunctionView got = w.pconf->functions();
+  const bitstream::FunctionView want = c.pconf->functions();
+  ASSERT_EQ(got.count, want.count);
+  for (std::size_t i = 0; i < got.count; ++i) {
+    EXPECT_EQ(got.bits[i], want.bits[i]) << i;
+    EXPECT_EQ(got.refs[i], want.refs[i]) << i;
   }
 }
 
 TEST(Pipeline, CasBackendWarmRunExecutesZeroStages) {
   TempCacheDir root("cas_pipe");
   auto options = small_options();
-  options.cache_shared = root.path;  // implies the cas backend
+  options.cache_dir = root.path;
   Pipeline pipeline(options);
   auto cold = pipeline.run(small_user(10));
   ASSERT_TRUE(cold.ok()) << cold.status().to_string();
   EXPECT_EQ(cold.value().stages_executed, 6u);
+  // On-disk layout: content-named objects plus one index per stage key,
+  // and one for the derived rr-graph.
   ASSERT_TRUE(std::filesystem::exists(root.path + "/cas"));
+  for (const char* stage : {"instrument", "tcon-map", "pack", "place", "route",
+                            "pconf-build", "rr-graph"}) {
+    const std::string dir = root.path + "/index/" + stage;
+    ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+    EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir),
+                            std::filesystem::directory_iterator()),
+              1)
+        << dir;
+  }
   auto warm = pipeline.run(small_user(10));
   ASSERT_TRUE(warm.ok()) << warm.status().to_string();
   EXPECT_EQ(warm.value().stages_executed, 0u);
@@ -282,7 +310,6 @@ TEST(ArtifactCache, StoreThenLoadRoundTrips) {
   ASSERT_TRUE(load.value().has_value());
   EXPECT_EQ(load.value()->payload, bytes);
   EXPECT_EQ(load.value()->content_hash, fnv1a(bytes));
-  EXPECT_TRUE(load.value()->mapped);
   // A different key misses; a wrong-hash store is caught on load.
   EXPECT_FALSE(cache.load("place", 8).value().has_value());
   ASSERT_TRUE(cache.store("place", 9, 0xdeadbeef, bytes).ok());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/rng.h"
 
 namespace fpgadbg::logic {
@@ -122,6 +125,27 @@ TEST(Bdd, EnsureVarsGrows) {
   EXPECT_EQ(mgr.num_vars(), 0);
   mgr.var(9);
   EXPECT_EQ(mgr.num_vars(), 10);
+}
+
+TEST(Bdd, AdoptArenaRejectsDuplicateNodes) {
+  BddManager src(2);
+  const BddRef f = src.bdd_and(src.var(0), src.var(1));
+  const std::vector<BddManager::Node> arena(src.arena_data(),
+                                            src.arena_data() + src.size());
+  BddManager adopted;
+  ASSERT_TRUE(adopted.adopt_arena(2, arena.data(), arena.size(), nullptr).ok());
+  EXPECT_TRUE(adopted.borrowed());
+  EXPECT_TRUE(adopted.evaluate(f, assignment_from_word(3, 2)));
+  EXPECT_FALSE(adopted.evaluate(f, assignment_from_word(1, 2)));
+
+  // Repeat the last node: ordered and in range, but no longer canonical.
+  std::vector<BddManager::Node> duplicated = arena;
+  duplicated.push_back(arena.back());
+  BddManager rejected;
+  const support::Status status = rejected.adopt_arena(
+      2, duplicated.data(), duplicated.size(), nullptr);
+  EXPECT_EQ(status.code(), support::StatusCode::kCorruptArtifact);
+  EXPECT_NE(status.message().find("duplicate"), std::string::npos);
 }
 
 class BddRandomEquivalence : public ::testing::TestWithParam<int> {};

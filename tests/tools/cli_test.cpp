@@ -166,11 +166,11 @@ TEST(Cli, CorruptCacheEntryReported) {
   std::system(("rm -rf " + cache).c_str());
   ASSERT_EQ(run("flow " + blif + " --width 2 --cache-dir " + cache).exit_code,
             0);
-  // Flip bytes inside every instrument-stage entry; the re-run must detect
-  // the integrity failure rather than deserialize garbage.
+  // Overwrite the key inside every instrument-stage index; the re-run must
+  // detect the integrity failure rather than deserialize garbage.
   std::system(("for f in " + cache +
-               "/instrument/*; do printf 'XXXXXXXX' | dd of=$f bs=1 seek=16 "
-               "conv=notrunc 2>/dev/null; done")
+               "/index/instrument/*; do printf 'XXXXXXXX' | "
+               "dd of=$f bs=1 seek=16 conv=notrunc 2>/dev/null; done")
                   .c_str());
   const auto r = run("flow " + blif + " --width 2 --cache-dir " + cache);
   EXPECT_EQ(r.exit_code, 6);
@@ -196,13 +196,13 @@ TEST(Cli, SharedCasRootIsSharedAcrossProcesses) {
   const std::string blif = write_profile_blif("cas_in.blif");
   const std::string root = tmp_path("cas_root");
   std::system(("rm -rf " + root).c_str());
-  // Two separate CLI processes against one CAS root: the first publishes,
+  // Two separate CLI processes against one cache root: the first publishes,
   // the second replays every stage from the shared store via mmap.
-  const auto first = run("flow " + blif + " --width 2 --cache-shared " + root);
+  const auto first = run("flow " + blif + " --width 2 --cache-dir " + root);
   ASSERT_EQ(first.exit_code, 0) << first.output;
   EXPECT_NE(first.output.find("6 stages executed, 0 from cache"),
             std::string::npos);
-  const auto second = run("flow " + blif + " --width 2 --cache-shared " + root);
+  const auto second = run("flow " + blif + " --width 2 --cache-dir " + root);
   ASSERT_EQ(second.exit_code, 0) << second.output;
   EXPECT_NE(second.output.find("0 stages executed, 6 from cache"),
             std::string::npos);
@@ -213,11 +213,13 @@ TEST(Cli, SharedCasRootIsSharedAcrossProcesses) {
       << second.output;
   // CAS layout on disk: content-named objects + per-stage indexes.
   EXPECT_TRUE(std::ifstream(root + "/.lock").good());
-  const auto gc_all = run("cache gc --max-bytes 0 --cache-shared " + root);
+  const auto gc_all = run("cache gc --max-bytes 0 --cache-dir " + root);
   ASSERT_EQ(gc_all.exit_code, 0) << gc_all.output;
-  EXPECT_NE(gc_all.output.find("cache gc (cas:"), std::string::npos);
+  EXPECT_NE(gc_all.output.find("cache gc (" + root + "): kept 0 entries"),
+            std::string::npos)
+      << gc_all.output;
   // After the full sweep a third run is cold again.
-  const auto third = run("flow " + blif + " --width 2 --cache-shared " + root);
+  const auto third = run("flow " + blif + " --width 2 --cache-dir " + root);
   ASSERT_EQ(third.exit_code, 0) << third.output;
   EXPECT_NE(third.output.find("6 stages executed, 0 from cache"),
             std::string::npos);
@@ -231,34 +233,11 @@ TEST(Cli, CacheGcEnforcesByteBudget) {
             0);
   const auto gc = run("cache gc --max-bytes 1 --cache-dir " + cache);
   ASSERT_EQ(gc.exit_code, 0) << gc.output;
-  EXPECT_NE(gc.output.find("cache gc (dir:"), std::string::npos);
+  EXPECT_NE(gc.output.find("cache gc (" + cache + ")"), std::string::npos);
   EXPECT_NE(gc.output.find("kept 0 entries / 0 bytes"), std::string::npos);
   // Missing cache location and missing budget are usage errors.
   EXPECT_EQ(run("cache gc --max-bytes 1").exit_code, 2);
   EXPECT_EQ(run("cache gc --cache-dir " + cache).exit_code, 2);
-}
-
-TEST(Cli, StreamEncodingStillWarmLoads) {
-  const std::string blif = write_profile_blif("stream_in.blif");
-  const std::string cache = tmp_path("stream_cache");
-  std::system(("rm -rf " + cache).c_str());
-  const std::string base =
-      "flow " + blif + " --width 2 --artifact-encoding stream --cache-dir " +
-      cache;
-  ASSERT_EQ(run(base).exit_code, 0);
-  const auto warm = run(base);
-  ASSERT_EQ(warm.exit_code, 0) << warm.output;
-  EXPECT_NE(warm.output.find("0 stages executed, 6 from cache"),
-            std::string::npos);
-  // Blob readers sniff the payload, so flipping the encoding knob between
-  // runs must still hit (never misparse, never invalidate).
-  const auto crossed =
-      run("flow " + blif + " --width 2 --cache-dir " + cache);
-  ASSERT_EQ(crossed.exit_code, 0) << crossed.output;
-  EXPECT_NE(crossed.output.find("0 stages executed, 6 from cache"),
-            std::string::npos);
-  EXPECT_EQ(run("--cache-backend bogus gen list").exit_code, 2);
-  EXPECT_EQ(run("--artifact-encoding bogus gen list").exit_code, 2);
 }
 
 TEST(Cli, UnknownMapperRejected) {
