@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "debug/signal_param.h"
+#include "flow/pipeline.h"
 #include "genbench/genbench.h"
 #include "map/mappers.h"
-#include "pnr/flow.h"
 
 using namespace fpgadbg;
 
@@ -30,8 +30,10 @@ int main() {
         inst.netlist.num_logic_nodes() - user.num_logic_nodes();
     auto mapping = map::tcon_map(inst.netlist);
     const auto stats = mapping.stats;
-    const auto design = pnr::compile(std::move(mapping.netlist),
-                                     inst.trace_outputs, {});
+    const auto design =
+        flow::Pipeline(debug::OfflineOptions{})
+            .compile(std::move(mapping.netlist), inst.trace_outputs)
+            .take_or_raise();
     std::printf("%-6d | %7zu | %7zu | %9zu | %7zu | %7zu | %9zu | %7s\n",
                 radix, muxes, inst.netlist.params().size(), stats.lut_area,
                 stats.num_tluts, stats.num_tcons,

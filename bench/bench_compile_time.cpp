@@ -35,17 +35,18 @@ Row run_one(const genbench::CircuitSpec& spec) {
   inst_opt.trace_width = 8;
   const auto inst = debug::parameterize_signals(user, inst_opt);
 
-  pnr::CompileOptions options;
+  // Both legs run the pipeline's own physical stages, uncached.
+  const flow::Pipeline pipeline{debug::OfflineOptions{}};
   {
     auto mapping = map::abc_map(inst.netlist);
-    row.conv = pnr::compile(std::move(mapping.netlist), inst.trace_outputs,
-                            options)
+    row.conv = pipeline.compile(std::move(mapping.netlist), inst.trace_outputs)
+                   .take_or_raise()
                    .report;
   }
   {
     auto mapping = map::tcon_map(inst.netlist);
-    row.prop = pnr::compile(std::move(mapping.netlist), inst.trace_outputs,
-                            options)
+    row.prop = pipeline.compile(std::move(mapping.netlist), inst.trace_outputs)
+                   .take_or_raise()
                    .report;
   }
   return row;

@@ -7,9 +7,9 @@
 #include <cstdio>
 
 #include "debug/signal_param.h"
+#include "flow/pipeline.h"
 #include "genbench/genbench.h"
 #include "map/mappers.h"
-#include "pnr/flow.h"
 #include "pnr/timing.h"
 
 using namespace fpgadbg;
@@ -19,13 +19,15 @@ namespace {
 pnr::CompiledDesign compile_variant(const netlist::Netlist& user,
                                     const debug::Instrumented* inst,
                                     bool param_aware) {
+  const flow::Pipeline pipeline{debug::OfflineOptions{}};
   if (inst == nullptr) {
     auto mapping = map::abc_map(user);
-    return pnr::compile(std::move(mapping.netlist), {}, {});
+    return pipeline.compile(std::move(mapping.netlist), {}).take_or_raise();
   }
   auto mapping = param_aware ? map::tcon_map(inst->netlist)
                              : map::abc_map(inst->netlist);
-  return pnr::compile(std::move(mapping.netlist), inst->trace_outputs, {});
+  return pipeline.compile(std::move(mapping.netlist), inst->trace_outputs)
+      .take_or_raise();
 }
 
 }  // namespace

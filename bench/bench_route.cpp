@@ -6,7 +6,6 @@
 // converging within one iteration, bit-identical results across thread
 // counts) and reports the wall-clock speedup ladder.  Emits
 // BENCH_route.json.
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,11 +47,9 @@ Placed prepare(const genbench::CircuitSpec& spec, int channel_width) {
   arch::ArchParams params;
   params.channel_width = channel_width;
   p.packing = pnr::pack(p.net, params);
-  const std::size_t min_clbs =
-      static_cast<std::size_t>(
-          std::ceil(static_cast<double>(p.packing.num_clusters()) * 1.4)) +
-      4;
-  p.device = std::make_unique<arch::Device>(params, min_clbs);
+  p.device = std::make_unique<arch::Device>(
+      params,
+      pnr::device_clbs(p.packing, pnr::CompileOptions{}.device_slack));
   p.rr = std::make_unique<arch::RRGraph>(*p.device);
   p.nets = pnr::extract_nets(p.net, inst.trace_outputs);
   p.placement =

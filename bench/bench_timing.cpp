@@ -48,6 +48,8 @@ Prepared prepare(const genbench::CircuitSpec& spec, int channel_width) {
   arch::ArchParams params;
   params.channel_width = channel_width;
   p.packing = pnr::pack(p.net, params);
+  // Not pnr::device_clbs: the published fmax_gain rows were measured with
+  // this extra headroom, and the tighter library grid changes them.
   const std::size_t min_clbs =
       static_cast<std::size_t>(
           std::ceil(static_cast<double>(p.packing.num_clusters()) * 1.4)) +

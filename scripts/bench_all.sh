@@ -135,12 +135,12 @@ for f in "$RESULTS_DIR"/BENCH_*.json; do
 done
 echo "bench_all: copied BENCH_summary.json + per-harness artifacts to $(pwd)"
 
-# Regression gate against the committed baseline.  Advisory by default (a
-# fresh checkout on slower hardware should not fail the whole bench run);
-# BENCH_GATE=strict makes a regression fatal for CI.
-if [ -f bench/baselines/BENCH_summary.json ] \
-    && command -v python3 > /dev/null 2>&1; then
-  if python3 scripts/bench_gate.py ./BENCH_summary.json; then
+# Regression gate against the committed baseline: the Release build's
+# `fpgadbg benchdiff`.  Advisory by default (a fresh checkout on slower
+# hardware should not fail the whole bench run); BENCH_GATE=strict makes a
+# regression fatal for CI.
+if [ -f bench/baselines/BENCH_summary.json ]; then
+  if "$BUILD_DIR/src/tools/fpgadbg" benchdiff ./BENCH_summary.json; then
     :
   elif [ "${BENCH_GATE:-}" = "strict" ]; then
     echo "bench_all: regression gate FAILED (BENCH_GATE=strict)" >&2

@@ -39,6 +39,12 @@ if [ "$SANITIZE" = "thread" ]; then
   tests/support/run_profiler_tsan_smoke.sh . "$BUILD_DIR/tsan_smoke"
 fi
 
+# Benchmark tests: perfbench builds its own Release binary from src/ and runs
+# every workload's short mode with its correctness checks, so a change that
+# breaks a name perfbench uses, or one of those checks, fails this gate and
+# not only a benchmark run.  Takes a few minutes (the first run builds).
+python3 perfbench/test_perfbench.py
+
 # Schema smoke: run a real debug session with the flight recorder and the
 # metrics snapshot enabled, then make `fpgadbg report` ingest both files.
 # report parses the journal (JSONL) and the metrics snapshot (JSON) with the

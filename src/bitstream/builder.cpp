@@ -211,13 +211,4 @@ PConf build_pconf(const pnr::CompiledDesign& design, PconfBuildStats* stats) {
   return pconf;
 }
 
-support::Result<PConf> try_build_pconf(const pnr::CompiledDesign& design,
-                                       PconfBuildStats* stats) {
-  try {
-    return build_pconf(design, stats);
-  } catch (...) {
-    return support::status_from_current_exception();
-  }
-}
-
 }  // namespace fpgadbg::bitstream

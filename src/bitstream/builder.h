@@ -12,7 +12,6 @@
 
 #include "bitstream/pconf.h"
 #include "pnr/flow.h"
-#include "support/status.h"
 
 namespace fpgadbg::bitstream {
 
@@ -26,10 +25,5 @@ struct PconfBuildStats {
 
 PConf build_pconf(const pnr::CompiledDesign& design,
                   PconfBuildStats* stats = nullptr);
-
-/// Result form of build_pconf: a design the builder cannot express (e.g. an
-/// unrouted net) comes back as a Status instead of a thrown fpgadbg::Error.
-support::Result<PConf> try_build_pconf(const pnr::CompiledDesign& design,
-                                       PconfBuildStats* stats = nullptr);
 
 }  // namespace fpgadbg::bitstream

@@ -4,7 +4,9 @@
 //   synthesizable design -> signal parameterisation -> TCON technology
 //   mapping -> TPaR place & route -> generalized (parameterized) bitstream.
 //
-// Online ("specialisation") stage, run per debugging turn: see session.h.
+// flow::Pipeline (flow/pipeline.h) runs the offline stage; run_offline is
+// its throwing shim.  Online ("specialisation") stage, run per debugging
+// turn: see session.h.
 #pragma once
 
 #include <memory>
@@ -22,9 +24,6 @@ struct OfflineOptions {
   int lut_size = 6;
   int max_param_leaves = 4;
   pnr::CompileOptions compile;
-  /// Skip place & route and build no bitstream (mapping-only experiments
-  /// such as Tables I/II don't need the physical stages).
-  bool run_pnr = true;
   /// Root of the content-addressed artifact cache for the staged pipeline
   /// (see flow/cache.h), shareable by any number of processes; empty
   /// disables caching and every stage executes.
@@ -34,7 +33,7 @@ struct OfflineOptions {
 struct OfflineResult {
   Instrumented instrumented;
   map::MapResult mapping;
-  /// Only when run_pnr: the physical design and its generalized bitstream.
+  /// The physical design and its generalized bitstream.
   std::unique_ptr<pnr::CompiledDesign> compiled;
   std::unique_ptr<bitstream::PConf> pconf;
   bitstream::PconfBuildStats pconf_stats;

@@ -242,17 +242,6 @@ Instrumented parameterize_signals(const Netlist& nl,
   return result;
 }
 
-support::Result<std::unordered_map<std::string, bool>>
-Instrumented::try_select_signals(const std::vector<std::string>& signals) const {
-  try {
-    return select_signals(signals);
-  } catch (const Error& e) {
-    return support::Status::invalid_argument(e.what());
-  } catch (...) {
-    return support::status_from_current_exception();
-  }
-}
-
 support::Result<Instrumented> try_parameterize_signals(
     const Netlist& nl, const InstrumentOptions& options) {
   try {

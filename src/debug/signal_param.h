@@ -74,11 +74,6 @@ struct Instrumented {
   std::unordered_map<std::string, bool> select_signals(
       const std::vector<std::string>& signals) const;
 
-  /// Result form of select_signals: an unobservable name or an unsatisfiable
-  /// lane assignment comes back as kInvalidArgument instead of throwing.
-  support::Result<std::unordered_map<std::string, bool>> try_select_signals(
-      const std::vector<std::string>& signals) const;
-
   /// The signal each lane shows under a parameter assignment.
   std::vector<std::string> observed_under(
       const std::unordered_map<std::string, bool>& params) const;

@@ -1,7 +1,5 @@
 #include "flow/pipeline.h"
 
-#include <algorithm>
-#include <cmath>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -35,13 +33,30 @@ Status status_from_exception(const char* stage) {
   return support::status_from_current_exception().with_stage(stage);
 }
 
-/// Book-keeping shared by every run_stage instantiation.
+/// Book-keeping for one run() or compile() call: the cache, the stage
+/// reports and live progress — one unit per stage, the current stage name in
+/// both the /statusz marker and a /progressz note, and running cache
+/// hit/miss telemetry so a scrape shows whether the call is recomputing or
+/// replaying.
 struct StageContext {
+  StageContext(const ArtifactCache& store, std::uint64_t total_stages)
+      : cache(store), progress("flow.pipeline") {
+    progress.set_total(total_stages);
+    // Join key against the trace/journal/logs: the enclosing span's trace id
+    // (0 when neither --trace nor the span ring is active).
+    if (const auto tctx = telemetry::current_trace_context(); tctx.active()) {
+      progress.field("trace_id", static_cast<double>(tctx.trace_id));
+    }
+  }
+  // Clears the /statusz marker on every exit path, including error returns.
+  ~StageContext() { telemetry::set_current_stage(""); }
+
   const ArtifactCache& cache;
-  telemetry::MetricsRegistry& metrics;
-  std::vector<StageReport>& reports;
-  std::size_t& executed;
-  std::size_t& from_cache;
+  telemetry::MetricsRegistry& metrics = telemetry::metrics();
+  telemetry::ProgressReporter progress;
+  std::vector<StageReport> reports;
+  std::size_t executed = 0;
+  std::size_t from_cache = 0;
 };
 
 /// Runs one cached stage: cache lookup, load on hit, execute + encode +
@@ -58,6 +73,8 @@ Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
                     std::uint64_t* content_hash_out, Exec exec, Encode encode,
                     Load load) {
   Stopwatch timer;
+  telemetry::set_current_stage(name);
+  ctx.progress.note("stage", name);
   auto finish = [&](bool hit, std::uint64_t hash, std::size_t bytes) {
     ctx.reports.push_back(StageReport{name, hit, key, hash, timer.elapsed_seconds(),
                                       bytes});
@@ -67,6 +84,9 @@ Result<T> run_stage(StageContext& ctx, const char* name, std::uint64_t key,
       ++ctx.executed;
     }
     *content_hash_out = hash;
+    ctx.progress.advance(ctx.reports.size());
+    ctx.progress.field("cache_hits", static_cast<double>(ctx.from_cache));
+    ctx.progress.field("cache_misses", static_cast<double>(ctx.executed));
   };
 
   auto loaded = ctx.cache.load(name, key);
@@ -123,6 +143,147 @@ auto stream_load(Deser deser) {
   };
 }
 
+/// Content hashes the physical stages chain into their keys; pconf-build
+/// extends the chain.
+struct PhysicalHashes {
+  std::uint64_t physical = 0;  ///< (upstream, netlist, pack)
+  std::uint64_t place = 0;
+  std::uint64_t route = 0;
+};
+
+/// The physical flow behind both run() and compile(): pack, the device and
+/// rr-graph, net extraction, place, route, the report and the routed STA.
+/// `netlist_hash` is the content hash of `net` (the pack key's input);
+/// `upstream_hash` covers the other input the net extraction reads, the
+/// trace outputs.  Place and route consume the device and net extraction
+/// too; both derive from (upstream, netlist, pack) plus options, so chaining
+/// those three content hashes covers every input.
+Result<pnr::CompiledDesign> run_physical(
+    StageContext& ctx, const pnr::CompileOptions& copt,
+    map::MappedNetlist net, const std::vector<std::string>& trace_outputs,
+    std::uint64_t upstream_hash, std::uint64_t netlist_hash,
+    PhysicalHashes& hashes) {
+  telemetry::MetricsRegistry& m = ctx.metrics;
+  pnr::CompiledDesign design;
+  design.netlist = std::move(net);
+  const map::MappedNetlist& nl = design.netlist;
+  Stopwatch stage;
+
+  // --- pack ----------------------------------------------------------------
+  std::uint64_t pack_hash = 0;
+  {
+    telemetry::TraceScope span("pnr.pack");
+    const std::uint64_t key =
+        stage_key("pack", netlist_hash, hash_arch_params(copt.arch));
+    FPGADBG_ASSIGN_OR_RETURN(
+        design.packing,
+        run_stage<pnr::Packing>(
+            ctx, "pack", key, &pack_hash,
+            [&] { return pnr::pack(nl, copt.arch); },
+            stream_encode(serialize_packing),
+            stream_load<pnr::Packing>(deserialize_packing)));
+  }
+  m.histogram("pnr.pack_seconds").observe(stage.elapsed_seconds());
+
+  // Derived physical state: a deterministic, cheap function of the packing
+  // size and the architecture options.  The rr-graph is the one big piece —
+  // it is cached as a zero-copy blob keyed on (arch params, device size),
+  // OUTSIDE the counted stages (it is derived state, not a pipeline stage,
+  // and its key ignores the user design entirely so every same-sized
+  // compile shares one entry).
+  try {
+    const std::size_t clbs = pnr::device_clbs(design.packing, copt.device_slack);
+    design.device = std::make_unique<arch::Device>(copt.arch, clbs);
+    const std::uint64_t rr_key =
+        stage_key("rr-graph", hash_arch_params(copt.arch),
+                  static_cast<std::uint64_t>(clbs));
+    auto loaded = ctx.cache.load("rr-graph", rr_key);
+    if (!loaded.ok()) return Status(loaded.status()).with_stage("pack");
+    if (loaded.value().has_value()) {
+      auto rr = load_rr_graph_blob(*design.device, *loaded.value());
+      if (!rr.ok()) return Status(rr.status()).with_stage("pack");
+      if (rr.value().has_value()) design.rr = std::move(*rr.value());
+    }
+    if (!design.rr) {
+      design.rr = std::make_unique<arch::RRGraph>(*design.device);
+      if (ctx.cache.enabled()) {
+        const std::string bytes = encode_rr_graph_blob(*design.rr);
+        Status stored =
+            ctx.cache.store("rr-graph", rr_key, fnv1a(bytes), bytes);
+        if (!stored.ok()) return stored.with_stage("pack");
+      }
+    }
+    design.frames =
+        std::make_unique<arch::FrameGeometry>(*design.device, *design.rr);
+    LOG_INFO << "compile: " << design.device->describe() << ", "
+             << design.packing.num_clusters() << " clusters";
+    design.nets = pnr::extract_nets(nl, trace_outputs);
+  } catch (...) {
+    return status_from_exception("pack");
+  }
+  hashes.physical =
+      hash_combine(hash_combine(upstream_hash, netlist_hash), pack_hash);
+
+  // --- place ---------------------------------------------------------------
+  stage.restart();
+  {
+    telemetry::TraceScope span("pnr.place");
+    const std::uint64_t key =
+        stage_key("place", hashes.physical, hash_place_options(copt));
+    FPGADBG_ASSIGN_OR_RETURN(
+        design.placement,
+        run_stage<pnr::Placement>(
+            ctx, "place", key, &hashes.place,
+            [&] {
+              return pnr::place(nl, design.packing, design.nets,
+                                *design.device, copt.place, copt.timing);
+            },
+            stream_encode(serialize_placement),
+            stream_load<pnr::Placement>(deserialize_placement)));
+  }
+  design.report.place_seconds =
+      m.histogram("pnr.place_seconds").observe(stage.elapsed_seconds());
+
+  // --- route ---------------------------------------------------------------
+  stage.restart();
+  {
+    telemetry::TraceScope span("pnr.route");
+    const std::uint64_t key =
+        stage_key("route", hash_combine(hashes.physical, hashes.place),
+                  hash_route_options(copt));
+    FPGADBG_ASSIGN_OR_RETURN(
+        design.routing,
+        run_stage<pnr::RouteResult>(
+            ctx, "route", key, &hashes.route,
+            [&] {
+              return pnr::route(*design.rr, nl, design.packing, design.nets,
+                                design.placement, copt.route, copt.timing);
+            },
+            stream_encode(serialize_route_result),
+            stream_load<pnr::RouteResult>(deserialize_route_result)));
+  }
+  design.report.route_seconds =
+      m.histogram("pnr.route_seconds").observe(stage.elapsed_seconds());
+
+  design.report.device = design.device->describe();
+  design.report.clbs_used = design.packing.num_clusters();
+  design.report.luts = nl.lut_area();
+  design.report.tcons = nl.count(map::MKind::kTcon);
+  design.report.nets = design.nets.nets.size();
+  design.report.route_success = design.routing.success;
+  design.report.route_iterations = design.routing.iterations;
+  design.report.wire_nodes_used = design.routing.wire_nodes_used;
+  design.report.total_wirelength = design.routing.total_wirelength;
+  // Routed-fidelity STA runs on cache hits too: the route artifact stores
+  // routes, not timing, and the analysis is far cheaper than a replay.
+  try {
+    pnr::finalize_timing(design, copt.timing);
+  } catch (...) {
+    return status_from_exception("route");
+  }
+  return design;
+}
+
 }  // namespace
 
 const char* stage_name(StageId id) {
@@ -143,43 +304,16 @@ Pipeline::Pipeline(debug::OfflineOptions options)
 Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
   telemetry::MetricsRegistry& m = telemetry::metrics();
   telemetry::TraceScope offline_span("debug.offline");
+  StageContext ctx(cache_, /*total_stages=*/6);
   PipelineResult result;
-  StageContext ctx{cache_, m, result.stages, result.stages_executed,
-                   result.stages_from_cache};
   debug::OfflineResult& offline = result.offline;
   Stopwatch total;
   Stopwatch stage;
-
-  // Live progress: one unit per stage, the current stage name in both the
-  // /statusz marker and a /progressz note, and running cache hit/miss
-  // telemetry so a scrape shows whether the run is recomputing or replaying.
-  telemetry::ProgressReporter progress("flow.pipeline");
-  progress.set_total(options_.run_pnr ? 6 : 2);
-  // Join key against the trace/journal/logs: the offline span's trace id
-  // (0 when neither --trace nor the span ring is active).
-  if (const auto tctx = telemetry::current_trace_context(); tctx.active()) {
-    progress.field("trace_id", static_cast<double>(tctx.trace_id));
-  }
-  std::uint64_t stages_done = 0;
-  auto begin_stage = [&](const char* name) {
-    telemetry::set_current_stage(name);
-    progress.note("stage", name);
-  };
-  auto end_stage = [&] {
-    progress.advance(++stages_done);
-    progress.field("cache_hits", static_cast<double>(result.stages_from_cache));
-    progress.field("cache_misses", static_cast<double>(result.stages_executed));
-  };
-  // Clear the /statusz marker on every exit path, including error returns.
-  struct StageMarkerReset {
-    ~StageMarkerReset() { telemetry::set_current_stage(""); }
-  } stage_marker_reset;
 
   const std::uint64_t user_hash = netlist_content_hash(user);
 
   // --- instrument ----------------------------------------------------------
   std::uint64_t instrument_hash = 0;
-  begin_stage("instrument");
   {
     telemetry::TraceScope span("offline.instrument");
     const std::uint64_t key =
@@ -193,7 +327,6 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
             stream_encode(serialize_instrumented),
             stream_load<debug::Instrumented>(deserialize_instrumented)));
   }
-  end_stage();
   offline.instrument_seconds =
       m.histogram("offline.instrument_seconds").observe(stage.elapsed_seconds());
   m.counter("instrument.observable_signals")
@@ -209,7 +342,6 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
   // --- tcon-map ------------------------------------------------------------
   std::uint64_t map_hash = 0;
   stage.restart();
-  begin_stage("tcon-map");
   {
     telemetry::TraceScope span("offline.map");
     const std::uint64_t key =
@@ -226,7 +358,6 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
             },
             encode_map_result_blob, load_map_result));
   }
-  end_stage();
   offline.map_seconds =
       m.histogram("offline.map_seconds").observe(stage.elapsed_seconds());
   LOG_INFO << "offline: mapped to " << offline.mapping.stats.num_luts
@@ -234,198 +365,81 @@ Result<PipelineResult> Pipeline::run(const netlist::Netlist& user) const {
            << offline.mapping.stats.num_tcons << " TCONs, depth "
            << offline.mapping.stats.depth;
 
-  if (options_.run_pnr) {
-    const pnr::CompileOptions& copt = options_.compile;
-    auto design = std::make_unique<pnr::CompiledDesign>();
-    design->netlist = offline.mapping.netlist;
-    const map::MappedNetlist& net = design->netlist;
-
-    std::optional<telemetry::TraceScope> pnr_span;
-    pnr_span.emplace("offline.pnr");
-    Stopwatch pnr_timer;
-
-    // --- pack --------------------------------------------------------------
-    std::uint64_t pack_hash = 0;
-    stage.restart();
-    begin_stage("pack");
-    {
-      telemetry::TraceScope span("pnr.pack");
-      const std::uint64_t key =
-          stage_key("pack", map_hash, hash_arch_params(copt.arch));
-      FPGADBG_ASSIGN_OR_RETURN(
-          design->packing,
-          run_stage<pnr::Packing>(
-              ctx, "pack", key, &pack_hash,
-              [&] { return pnr::pack(net, copt.arch); },
-              stream_encode(serialize_packing),
-              stream_load<pnr::Packing>(deserialize_packing)));
-    }
-    end_stage();
-    design->report.pack_seconds =
-        m.histogram("pnr.pack_seconds").observe(stage.elapsed_seconds());
-
-    // Derived physical state: a deterministic, cheap function of the packing
-    // size and the architecture options.  The rr-graph is the one big piece
-    // — it is cached as a zero-copy blob keyed on (arch params, device
-    // size), OUTSIDE the six counted stages (it is derived state, not a
-    // pipeline stage, and its key ignores the user design entirely so every
-    // same-sized compile shares one entry).
-    try {
-      const std::size_t min_clbs = std::max<std::size_t>(
-          4, static_cast<std::size_t>(std::ceil(
-                 static_cast<double>(design->packing.num_clusters()) *
-                 copt.device_slack)));
-      design->device = std::make_unique<arch::Device>(copt.arch, min_clbs);
-      const std::uint64_t rr_key =
-          stage_key("rr-graph", hash_arch_params(copt.arch),
-                    static_cast<std::uint64_t>(min_clbs));
-      auto loaded = cache_.load("rr-graph", rr_key);
-      if (!loaded.ok()) return Status(loaded.status()).with_stage("pack");
-      if (loaded.value().has_value()) {
-        auto rr = load_rr_graph_blob(*design->device, *loaded.value());
-        if (!rr.ok()) return Status(rr.status()).with_stage("pack");
-        if (rr.value().has_value()) design->rr = std::move(*rr.value());
-      }
-      if (!design->rr) {
-        design->rr = std::make_unique<arch::RRGraph>(*design->device);
-        if (cache_.enabled()) {
-          const std::string bytes = encode_rr_graph_blob(*design->rr);
-          Status stored =
-              cache_.store("rr-graph", rr_key, fnv1a(bytes), bytes);
-          if (!stored.ok()) return stored.with_stage("pack");
-        }
-      }
-      design->frames =
-          std::make_unique<arch::FrameGeometry>(*design->device, *design->rr);
-      LOG_INFO << "compile: " << design->device->describe() << ", "
-               << design->packing.num_clusters() << " clusters";
-      design->nets =
-          pnr::extract_nets(net, offline.instrumented.trace_outputs);
-    } catch (...) {
-      return status_from_exception("pack");
-    }
-
-    // place/route consume the device and net extraction too; both derive
-    // from (instrument, tcon-map, pack) artifacts plus options, so chaining
-    // those three content hashes covers every input.
-    const std::uint64_t physical_hash =
-        hash_combine(hash_combine(instrument_hash, map_hash), pack_hash);
-
-    // --- place -------------------------------------------------------------
-    std::uint64_t place_hash = 0;
-    stage.restart();
-    begin_stage("place");
-    {
-      telemetry::TraceScope span("pnr.place");
-      const std::uint64_t key =
-          stage_key("place", physical_hash, hash_place_options(copt));
-      FPGADBG_ASSIGN_OR_RETURN(
-          design->placement,
-          run_stage<pnr::Placement>(
-              ctx, "place", key, &place_hash,
-              [&] {
-                return pnr::place(net, design->packing, design->nets,
-                                  *design->device, copt.place, copt.timing);
-              },
-              stream_encode(serialize_placement),
-              stream_load<pnr::Placement>(deserialize_placement)));
-    }
-    end_stage();
-    design->report.place_seconds =
-        m.histogram("pnr.place_seconds").observe(stage.elapsed_seconds());
-
-    // --- route -------------------------------------------------------------
-    std::uint64_t route_hash = 0;
-    stage.restart();
-    begin_stage("route");
-    {
-      telemetry::TraceScope span("pnr.route");
-      const std::uint64_t key =
-          stage_key("route", hash_combine(physical_hash, place_hash),
-                    hash_route_options(copt));
-      FPGADBG_ASSIGN_OR_RETURN(
-          design->routing,
-          run_stage<pnr::RouteResult>(
-              ctx, "route", key, &route_hash,
-              [&] {
-                return pnr::route(*design->rr, net, design->packing,
-                                  design->nets, design->placement, copt.route,
-                                  copt.timing);
-              },
-              stream_encode(serialize_route_result),
-              stream_load<pnr::RouteResult>(deserialize_route_result)));
-    }
-    end_stage();
-    design->report.route_seconds =
-        m.histogram("pnr.route_seconds").observe(stage.elapsed_seconds());
-
-    design->report.device = design->device->describe();
-    design->report.clbs_used = design->packing.num_clusters();
-    design->report.luts = net.lut_area();
-    design->report.tcons = net.count(map::MKind::kTcon);
-    design->report.nets = design->nets.nets.size();
-    design->report.route_success = design->routing.success;
-    design->report.route_iterations = design->routing.iterations;
-    design->report.wire_nodes_used = design->routing.wire_nodes_used;
-    design->report.total_wirelength = design->routing.total_wirelength;
-    // Routed-fidelity STA runs on cache hits too: the route artifact stores
-    // routes, not timing, and the analysis is far cheaper than a replay.
-    try {
-      pnr::finalize_timing(*design, copt.timing);
-    } catch (...) {
-      return status_from_exception("route");
-    }
-    design->report.total_seconds = pnr_timer.elapsed_seconds();
-    offline.compiled = std::move(design);
-
-    pnr_span.reset();
-    offline.pnr_seconds =
-        m.histogram("offline.pnr_seconds").observe(pnr_timer.elapsed_seconds());
-
-    // --- pconf-build -------------------------------------------------------
-    std::uint64_t pconf_hash = 0;
-    stage.restart();
-    begin_stage("pconf-build");
-    {
-      telemetry::TraceScope span("offline.bitstream");
-      // Timing options join the key even though place/route CONTENT hashes
-      // are chained: a timing-knob edit must invalidate this stage
-      // deterministically, not only when the optimizers' outputs changed.
-      const std::uint64_t key = stage_key(
-          "pconf-build",
-          hash_combine(hash_combine(physical_hash, place_hash), route_hash),
-          hash_combine(hash_device_options(copt),
-                       hash_timing_options(copt.timing)));
-      FPGADBG_ASSIGN_OR_RETURN(
-          PconfArtifact artifact,
-          run_stage<PconfArtifact>(
-              ctx, "pconf-build", key, &pconf_hash,
-              [&] {
-                bitstream::PconfBuildStats stats;
-                bitstream::PConf pconf =
-                    bitstream::build_pconf(*offline.compiled, &stats);
-                return PconfArtifact{std::move(pconf), stats};
-              },
-              encode_pconf_blob, load_pconf));
-      offline.pconf =
-          std::make_unique<bitstream::PConf>(std::move(artifact.pconf));
-      offline.pconf_stats = artifact.stats;
-      // Index for the incremental SCG belongs to the offline budget; it is
-      // derived state, so it is rebuilt on cache hits too.
-      offline.pconf->prepare_incremental();
-    }
-    end_stage();
-    offline.bitstream_seconds =
-        m.histogram("offline.bitstream_seconds").observe(stage.elapsed_seconds());
-    LOG_INFO << "offline: generalized bitstream has "
-             << offline.pconf->num_parameterized_bits()
-             << " parameterized bits across "
-             << offline.pconf->parameterized_frames().size() << " frames";
+  // --- pack -> place -> route ------------------------------------------------
+  PhysicalHashes hashes;
+  Stopwatch pnr_timer;
+  {
+    telemetry::TraceScope span("offline.pnr");
+    FPGADBG_ASSIGN_OR_RETURN(
+        pnr::CompiledDesign design,
+        run_physical(ctx, options_.compile, offline.mapping.netlist,
+                     offline.instrumented.trace_outputs, instrument_hash,
+                     map_hash, hashes));
+    offline.compiled =
+        std::make_unique<pnr::CompiledDesign>(std::move(design));
   }
+  offline.pnr_seconds =
+      m.histogram("offline.pnr_seconds").observe(pnr_timer.elapsed_seconds());
+
+  // --- pconf-build -----------------------------------------------------------
+  std::uint64_t pconf_hash = 0;
+  stage.restart();
+  {
+    telemetry::TraceScope span("offline.bitstream");
+    // Timing options join the key even though place/route CONTENT hashes
+    // are chained: a timing-knob edit must invalidate this stage
+    // deterministically, not only when the optimizers' outputs changed.
+    const pnr::CompileOptions& copt = options_.compile;
+    const std::uint64_t key = stage_key(
+        "pconf-build",
+        hash_combine(hash_combine(hashes.physical, hashes.place), hashes.route),
+        hash_combine(hash_device_options(copt),
+                     hash_timing_options(copt.timing)));
+    FPGADBG_ASSIGN_OR_RETURN(
+        PconfArtifact artifact,
+        run_stage<PconfArtifact>(
+            ctx, "pconf-build", key, &pconf_hash,
+            [&] {
+              bitstream::PconfBuildStats stats;
+              bitstream::PConf pconf =
+                  bitstream::build_pconf(*offline.compiled, &stats);
+              return PconfArtifact{std::move(pconf), stats};
+            },
+            encode_pconf_blob, load_pconf));
+    offline.pconf =
+        std::make_unique<bitstream::PConf>(std::move(artifact.pconf));
+    offline.pconf_stats = artifact.stats;
+    // Index for the incremental SCG belongs to the offline budget; it is
+    // derived state, so it is rebuilt on cache hits too.
+    offline.pconf->prepare_incremental();
+  }
+  offline.bitstream_seconds =
+      m.histogram("offline.bitstream_seconds").observe(stage.elapsed_seconds());
+  LOG_INFO << "offline: generalized bitstream has "
+           << offline.pconf->num_parameterized_bits()
+           << " parameterized bits across "
+           << offline.pconf->parameterized_frames().size() << " frames";
 
   offline.total_seconds =
       m.histogram("offline.total_seconds").observe(total.elapsed_seconds());
+  result.stages = std::move(ctx.reports);
+  result.stages_executed = ctx.executed;
+  result.stages_from_cache = ctx.from_cache;
   return result;
+}
+
+Result<pnr::CompiledDesign> Pipeline::compile(
+    map::MappedNetlist netlist,
+    const std::vector<std::string>& trace_outputs) const {
+  StageContext ctx(cache_, /*total_stages=*/3);
+  ByteWriter netlist_bytes;
+  serialize_mapped_netlist(netlist, netlist_bytes);
+  ByteWriter trace_bytes;
+  trace_bytes.str_vec(trace_outputs);
+  PhysicalHashes hashes;
+  return run_physical(ctx, options_.compile, std::move(netlist), trace_outputs,
+                      trace_bytes.content_hash(),
+                      netlist_bytes.content_hash(), hashes);
 }
 
 }  // namespace fpgadbg::flow

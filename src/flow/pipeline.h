@@ -22,9 +22,15 @@
 // function of the packing size and the architecture options, so the pipeline
 // rebuilds it after pack instead of serializing device models.
 //
-// Error contract: run() never throws.  Stage failures — including legacy
-// fpgadbg::Error exceptions from the CAD libraries and corrupt cache
-// entries — come back as a support::Status tagged with the stage name.
+// The pipeline is the only code that sequences the physical stages.  run() takes a user
+// circuit through all six; compile() takes an already-mapped netlist (e.g.
+// from a conventional mapper, for the §V-C1 comparison) through the same
+// pack -> place -> route code, with the same cache.
+//
+// Error contract: run() and compile() never throw.  Stage failures —
+// including legacy fpgadbg::Error exceptions from the CAD libraries and
+// corrupt cache entries — come back as a support::Status tagged with the
+// stage name.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +79,14 @@ class Pipeline {
   /// Runs the offline flow on a user circuit.  Cache behavior is governed by
   /// options.cache_dir (empty = every stage executes).
   support::Result<PipelineResult> run(const netlist::Netlist& user) const;
+
+  /// Runs pack -> place -> route and the routed STA on an already-mapped
+  /// netlist, with options.compile and the cache of run().  The stage keys
+  /// chain the content hashes of `netlist` and of the trace-output names
+  /// where run() chains the tcon-map and instrument artifacts.
+  support::Result<pnr::CompiledDesign> compile(
+      map::MappedNetlist netlist,
+      const std::vector<std::string>& trace_outputs) const;
 
  private:
   debug::OfflineOptions options_;

@@ -18,14 +18,4 @@ MapResult map_with(const netlist::Netlist& nl, const MapOptions& options,
   return cover_network(nl, options, mapper_name);
 }
 
-support::Result<MapResult> try_map_with(const netlist::Netlist& nl,
-                                        const MapOptions& options,
-                                        const std::string& mapper_name) {
-  try {
-    return cover_network(nl, options, mapper_name);
-  } catch (...) {
-    return support::status_from_current_exception();
-  }
-}
-
 }  // namespace fpgadbg::map

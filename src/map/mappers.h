@@ -12,7 +12,6 @@
 #pragma once
 
 #include "map/cover.h"
-#include "support/status.h"
 
 namespace fpgadbg::map {
 
@@ -24,12 +23,5 @@ MapResult tcon_map(const netlist::Netlist& nl, int lut_size = 6,
 /// Fully customisable variant.
 MapResult map_with(const netlist::Netlist& nl, const MapOptions& options,
                    const std::string& mapper_name);
-
-/// Result form of map_with (covers all four mappers via MapOptions): bad
-/// options or an unmappable network come back as a Status instead of a
-/// thrown fpgadbg::Error.
-support::Result<MapResult> try_map_with(const netlist::Netlist& nl,
-                                        const MapOptions& options,
-                                        const std::string& mapper_name);
 
 }  // namespace fpgadbg::map

@@ -1,77 +1,8 @@
 #include "pnr/flow.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "support/error.h"
-#include "support/log.h"
-#include "support/stopwatch.h"
 #include "support/telemetry.h"
 
 namespace fpgadbg::pnr {
-
-CompiledDesign compile(map::MappedNetlist mn,
-                       const std::vector<std::string>& trace_output_names,
-                       const CompileOptions& options) {
-  CompiledDesign design;
-  design.netlist = std::move(mn);
-  const map::MappedNetlist& net = design.netlist;
-
-  telemetry::MetricsRegistry& m = telemetry::metrics();
-  Stopwatch total_timer;
-  Stopwatch stage_timer;
-
-  {
-    telemetry::TraceScope span("pnr.pack");
-    design.packing = pack(net, options.arch);
-  }
-  design.report.pack_seconds =
-      m.histogram("pnr.pack_seconds").observe(stage_timer.elapsed_seconds());
-
-  const std::size_t min_clbs = std::max<std::size_t>(
-      4, static_cast<std::size_t>(
-             std::ceil(static_cast<double>(design.packing.num_clusters()) *
-                       options.device_slack)));
-  design.device = std::make_unique<arch::Device>(options.arch, min_clbs);
-  design.rr = std::make_unique<arch::RRGraph>(*design.device);
-  design.frames =
-      std::make_unique<arch::FrameGeometry>(*design.device, *design.rr);
-  LOG_INFO << "compile: " << design.device->describe() << ", "
-           << design.packing.num_clusters() << " clusters";
-
-  design.nets = extract_nets(net, trace_output_names);
-
-  stage_timer.restart();
-  {
-    telemetry::TraceScope span("pnr.place");
-    design.placement = place(net, design.packing, design.nets, *design.device,
-                             options.place, options.timing);
-  }
-  design.report.place_seconds =
-      m.histogram("pnr.place_seconds").observe(stage_timer.elapsed_seconds());
-
-  stage_timer.restart();
-  {
-    telemetry::TraceScope span("pnr.route");
-    design.routing = route(*design.rr, net, design.packing, design.nets,
-                           design.placement, options.route, options.timing);
-  }
-  design.report.route_seconds =
-      m.histogram("pnr.route_seconds").observe(stage_timer.elapsed_seconds());
-
-  design.report.device = design.device->describe();
-  design.report.clbs_used = design.packing.num_clusters();
-  design.report.luts = net.lut_area();
-  design.report.tcons = net.count(map::MKind::kTcon);
-  design.report.nets = design.nets.nets.size();
-  design.report.route_success = design.routing.success;
-  design.report.route_iterations = design.routing.iterations;
-  design.report.wire_nodes_used = design.routing.wire_nodes_used;
-  design.report.total_wirelength = design.routing.total_wirelength;
-  finalize_timing(design, options.timing);
-  design.report.total_seconds = total_timer.elapsed_seconds();
-  return design;
-}
 
 void finalize_timing(CompiledDesign& design, const TimingOptions& timing) {
   telemetry::TraceScope span("pnr.timing");
@@ -85,16 +16,6 @@ void finalize_timing(CompiledDesign& design, const TimingOptions& timing) {
   telemetry::metrics()
       .gauge("timing.critical_path_ns")
       .set(sta.critical_path_ns);
-}
-
-support::Result<CompiledDesign> try_compile(
-    map::MappedNetlist mn, const std::vector<std::string>& trace_output_names,
-    const CompileOptions& options) {
-  try {
-    return compile(std::move(mn), trace_output_names, options);
-  } catch (...) {
-    return support::status_from_current_exception();
-  }
 }
 
 }  // namespace fpgadbg::pnr

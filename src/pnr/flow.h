@@ -1,8 +1,11 @@
-// TPaR flow driver: pack -> place -> route on an auto-sized device.
+// TPaR flow types: the options, report and result of pack -> place -> route
+// on an auto-sized device, plus the routed-fidelity STA that finishes it.
 //
 // This is the offline, computationally intensive stage of the paper's
-// Fig. 4(b).  The report carries the §V-C1 metrics (CLBs, wires, runtime)
-// compared between the conventional and the parameterized flow.
+// Fig. 4(b).  flow::Pipeline is the only code that sequences the stages
+// (Pipeline::run for a user circuit, Pipeline::compile for an already
+// mapped netlist).  The report carries the §V-C1 metrics (CLBs, wires,
+// runtime) compared between the conventional and the parameterized flow.
 #pragma once
 
 #include <memory>
@@ -10,7 +13,6 @@
 
 #include "arch/frames.h"
 #include "pnr/route.h"
-#include "support/status.h"
 
 namespace fpgadbg::pnr {
 
@@ -20,7 +22,8 @@ struct CompileOptions {
   RouteOptions route;
   /// Timing-driven knobs + delay model, threaded into place() and route().
   TimingOptions timing;
-  /// CLB capacity slack: the device provides clusters * slack CLB tiles.
+  /// CLB capacity slack: the device provides device_clbs(packing, slack)
+  /// CLB tiles (pnr/pack.h).
   double device_slack = 1.4;
 };
 
@@ -40,10 +43,8 @@ struct CompileReport {
   double critical_path_ns = 0.0;
   double max_frequency_mhz = 0.0;
   double worst_slack_ns = 0.0;
-  double pack_seconds = 0.0;
   double place_seconds = 0.0;
   double route_seconds = 0.0;
-  double total_seconds = 0.0;
 };
 
 /// A fully compiled design.  Owns the device model so internal references
@@ -60,21 +61,11 @@ struct CompiledDesign {
   CompileReport report;
 };
 
-CompiledDesign compile(map::MappedNetlist mn,
-                       const std::vector<std::string>& trace_output_names,
-                       const CompileOptions& options = {});
-
 /// Runs the routed-fidelity STA over a compiled design, fills the report's
 /// timing fields and publishes the `timing.fmax_mhz` gauge (exposed as
-/// `fpgadbg_timing_fmax_mhz` on /metrics).  compile() calls it; the cached
-/// pipeline calls it too so replayed place/route artifacts still report
+/// `fpgadbg_timing_fmax_mhz` on /metrics).  The pipeline calls it after
+/// route, on cache hits too, so replayed place/route artifacts still report
 /// timing.
 void finalize_timing(CompiledDesign& design, const TimingOptions& timing);
-
-/// Result form of compile: an unroutable or otherwise failing physical flow
-/// comes back as a Status (kUnroutable for FlowError) instead of throwing.
-support::Result<CompiledDesign> try_compile(
-    map::MappedNetlist mn, const std::vector<std::string>& trace_output_names,
-    const CompileOptions& options = {});
 
 }  // namespace fpgadbg::pnr

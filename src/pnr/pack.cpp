@@ -1,6 +1,7 @@
 #include "pnr/pack.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "support/error.h"
@@ -98,6 +99,12 @@ Packing pack(const MappedNetlist& mn, const arch::ArchParams& params) {
     packing.clusters.push_back(std::move(cluster));
   }
   return packing;
+}
+
+std::size_t device_clbs(const Packing& packing, double slack) {
+  return std::max<std::size_t>(
+      4, static_cast<std::size_t>(std::ceil(
+             static_cast<double>(packing.num_clusters()) * slack)));
 }
 
 }  // namespace fpgadbg::pnr

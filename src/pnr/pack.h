@@ -28,4 +28,8 @@ struct Packing {
 
 Packing pack(const map::MappedNetlist& mn, const arch::ArchParams& params);
 
+/// The device-sizing rule: the CLB count a packing is placed on,
+/// max(4, ceil(clusters * slack)).  `slack` is CompileOptions::device_slack.
+std::size_t device_clbs(const Packing& packing, double slack);
+
 }  // namespace fpgadbg::pnr

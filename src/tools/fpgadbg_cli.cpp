@@ -1088,8 +1088,8 @@ support::Result<int> cmd_gen(const Args& args) {
 // ---------------------------------------------------------------------------
 // benchdiff: the perf-regression sentinel.  Compares a fresh BENCH_summary
 // against a committed baseline snapshot, metric by metric, with per-kind
-// noise tolerances; exits nonzero when anything regressed.  Mirrors
-// scripts/bench_gate.py so CI can use either entry point.
+// noise tolerances; exits nonzero when anything regressed.
+// scripts/bench_all.sh runs it against bench/baselines/.
 // ---------------------------------------------------------------------------
 
 /// One comparable number extracted from a summary: a histogram sum or a
@@ -1190,7 +1190,7 @@ support::Result<int> cmd_benchdiff(const Args& args) {
   std::printf("  %-52s %14s %14s %8s  %s\n", "metric", "baseline", "fresh",
               "delta%", "verdict");
 
-  // Per-metric-kind rules, shared verbatim with scripts/bench_gate.py:
+  // Per-metric-kind rules:
   //   *_seconds hist sums     lower better, rel tolerance + 50 ms floor
   //   *speedup*, *per_sec*    higher better, rel tolerance
   //   *bit_identical*         exact match

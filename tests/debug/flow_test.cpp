@@ -35,15 +35,6 @@ TEST(OfflineFlow, ProducesAllArtifacts) {
   EXPECT_GT(offline.total_seconds, 0.0);
 }
 
-TEST(OfflineFlow, MappingOnlyWhenPnrDisabled) {
-  auto options = small_options();
-  options.run_pnr = false;
-  const auto offline = run_offline(small_user(2), options);
-  EXPECT_FALSE(offline.compiled);
-  EXPECT_FALSE(offline.pconf);
-  EXPECT_GT(offline.mapping.stats.lut_area, 0u);
-}
-
 TEST(OfflineFlow, MappedDutIsEquivalentToInstrumented) {
   const auto offline = run_offline(small_user(3), small_options());
   Rng rng(3);

@@ -17,6 +17,7 @@
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "pnr/flow.h"
+#include "testutil/compile.h"
 
 namespace fpgadbg::flow {
 namespace {
@@ -151,9 +152,8 @@ struct Physical {
 Physical compile_small(std::uint64_t seed) {
   const auto inst = small_instrumented(seed);
   auto mapping = map::tcon_map(inst.netlist);
-  pnr::CompiledDesign design = pnr::compile(std::move(mapping.netlist),
-                                            inst.trace_outputs,
-                                            pnr::CompileOptions{});
+  pnr::CompiledDesign design =
+      testutil::compile_mapped(std::move(mapping.netlist), inst.trace_outputs);
   bitstream::PconfBuildStats stats;
   bitstream::PConf pconf = bitstream::build_pconf(design, &stats);
   return Physical{std::move(design), stats, std::move(pconf)};

@@ -16,6 +16,7 @@
 #include "flow/cache.h"
 #include "flow/pipeline.h"
 #include "genbench/genbench.h"
+#include "map/mappers.h"
 #include "netlist/blif.h"
 #include "support/telemetry.h"
 
@@ -47,6 +48,14 @@ struct TempCacheDir {
 
 std::uint64_t stage_executions() {
   return telemetry::metrics().snapshot().counter("flow.stage.executions");
+}
+
+/// An artifact's stream encoding, for byte-level equality checks.
+template <typename Ser, typename T>
+std::string stream_bytes(Ser serialize, const T& value) {
+  ByteWriter out;
+  serialize(value, out);
+  return out.take();
 }
 
 TEST(Pipeline, ColdRunExecutesAllStagesAndReports) {
@@ -193,20 +202,56 @@ TEST(Pipeline, CorruptCacheEntryIsReportedWithStage) {
   EXPECT_EQ(warm.status().stage(), "tcon-map");
 }
 
-TEST(Pipeline, MappingOnlyFlowCachesTwoStages) {
-  TempCacheDir cache("maponly");
+TEST(Pipeline, CompileMatchesRunPhysicalStages) {
+  // run() and compile() share one physical flow: compiling run()'s own
+  // mapped netlist and trace outputs reproduces its pack, place and route
+  // artifacts byte for byte, and the same report.
+  const Pipeline pipeline(small_options());
+  auto run = pipeline.run(small_user(8));
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  const debug::OfflineResult& offline = run.value().offline;
+  ASSERT_TRUE(offline.compiled && offline.compiled->report.route_success);
+  auto compiled = pipeline.compile(offline.mapping.netlist,
+                                   offline.instrumented.trace_outputs);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().to_string();
+  const pnr::CompiledDesign& r = *offline.compiled;
+  const pnr::CompiledDesign& c = compiled.value();
+  EXPECT_EQ(stream_bytes(serialize_packing, c.packing),
+            stream_bytes(serialize_packing, r.packing));
+  EXPECT_EQ(stream_bytes(serialize_placement, c.placement),
+            stream_bytes(serialize_placement, r.placement));
+  EXPECT_EQ(stream_bytes(serialize_route_result, c.routing),
+            stream_bytes(serialize_route_result, r.routing));
+  EXPECT_EQ(c.report.clbs_used, r.report.clbs_used);
+  EXPECT_EQ(c.report.total_wirelength, r.report.total_wirelength);
+  EXPECT_EQ(c.report.critical_path_ns, r.report.critical_path_ns);
+  EXPECT_EQ(c.report.max_frequency_mhz, r.report.max_frequency_mhz);
+}
+
+TEST(Pipeline, CachedCompileExecutesZeroStagesOnSecondCall) {
+  // The conventional-mapper case: an ABC-mapped netlist has no tcon-map
+  // artifact, so compile() keys pack/place/route on the netlist's and the
+  // trace outputs' content hashes.
+  TempCacheDir cache("compile");
   auto options = small_options();
   options.cache_dir = cache.path;
-  options.run_pnr = false;
-  Pipeline pipeline(options);
-  auto cold = pipeline.run(small_user(8));
+  const Pipeline pipeline(options);
+  const debug::Instrumented inst =
+      debug::parameterize_signals(small_user(12), options.instrument);
+  const map::MapResult mapping = map::abc_map(inst.netlist);
+
+  const std::uint64_t before = stage_executions();
+  auto cold = pipeline.compile(mapping.netlist, inst.trace_outputs);
   ASSERT_TRUE(cold.ok()) << cold.status().to_string();
-  EXPECT_EQ(cold.value().stages_executed, 2u);
-  auto warm = pipeline.run(small_user(8));
+  EXPECT_EQ(stage_executions() - before, 3u);
+  const std::uint64_t after_cold = stage_executions();
+  auto warm = pipeline.compile(mapping.netlist, inst.trace_outputs);
   ASSERT_TRUE(warm.ok()) << warm.status().to_string();
-  EXPECT_EQ(warm.value().stages_executed, 0u);
-  EXPECT_EQ(warm.value().stages_from_cache, 2u);
-  EXPECT_FALSE(warm.value().offline.compiled);
+  EXPECT_EQ(stage_executions(), after_cold);
+  EXPECT_EQ(stream_bytes(serialize_route_result, warm.value().routing),
+            stream_bytes(serialize_route_result, cold.value().routing));
+  EXPECT_EQ(warm.value().report.critical_path_ns,
+            cold.value().report.critical_path_ns);
 }
 
 TEST(Pipeline, StreamAndBlobEncodingsAreBitIdentical) {
@@ -227,11 +272,6 @@ TEST(Pipeline, StreamAndBlobEncodingsAreBitIdentical) {
   ASSERT_TRUE(c.compiled && w.compiled && c.pconf && w.pconf);
 
   // Stream-encoded stages re-serialize to the same bytes.
-  const auto stream_bytes = [](const auto& serialize, const auto& value) {
-    ByteWriter out;
-    serialize(value, out);
-    return out.take();
-  };
   EXPECT_EQ(stream_bytes(serialize_instrumented, w.instrumented),
             stream_bytes(serialize_instrumented, c.instrumented));
   EXPECT_EQ(stream_bytes(serialize_packing, w.compiled->packing),

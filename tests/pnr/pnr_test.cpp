@@ -4,12 +4,14 @@
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "pnr/flow.h"
+#include "testutil/compile.h"
 
 namespace fpgadbg::pnr {
 namespace {
 
 using map::MappedNetlist;
 using map::MKind;
+using testutil::compile_mapped;
 
 struct Prepared {
   debug::Instrumented inst;
@@ -111,7 +113,7 @@ TEST(Flow, CompilesAndRoutesProposed) {
   Prepared p = prepared(7, true);
   CompileOptions options;
   const CompiledDesign design =
-      compile(p.mapping.netlist, p.inst.trace_outputs, options);
+      compile_mapped(p.mapping.netlist, p.inst.trace_outputs, options);
   EXPECT_TRUE(design.report.route_success)
       << "unroutable after " << design.report.route_iterations << " iters";
   EXPECT_GT(design.report.wire_nodes_used, 0u);
@@ -122,7 +124,7 @@ TEST(Flow, CompilesAndRoutesProposed) {
 TEST(Flow, CompilesAndRoutesConventional) {
   Prepared p = prepared(7, false);
   const CompiledDesign design =
-      compile(p.mapping.netlist, p.inst.trace_outputs, CompileOptions{});
+      compile_mapped(p.mapping.netlist, p.inst.trace_outputs);
   EXPECT_TRUE(design.report.route_success);
 }
 
@@ -131,9 +133,9 @@ TEST(Flow, ProposedUsesFewerWiresAndClbs) {
   Prepared conv = prepared(8, false);
   Prepared prop = prepared(8, true);
   const CompiledDesign dc =
-      compile(conv.mapping.netlist, conv.inst.trace_outputs, CompileOptions{});
+      compile_mapped(conv.mapping.netlist, conv.inst.trace_outputs);
   const CompiledDesign dp =
-      compile(prop.mapping.netlist, prop.inst.trace_outputs, CompileOptions{});
+      compile_mapped(prop.mapping.netlist, prop.inst.trace_outputs);
   ASSERT_TRUE(dc.report.route_success);
   ASSERT_TRUE(dp.report.route_success);
   EXPECT_LT(dp.report.clbs_used, dc.report.clbs_used);
@@ -143,7 +145,7 @@ TEST(Flow, ProposedUsesFewerWiresAndClbs) {
 TEST(Route, NoOveruseOnSuccess) {
   Prepared p = prepared(9, true);
   const CompiledDesign design =
-      compile(p.mapping.netlist, p.inst.trace_outputs, CompileOptions{});
+      compile_mapped(p.mapping.netlist, p.inst.trace_outputs);
   ASSERT_TRUE(design.report.route_success);
   // Recount occupancy from the routes: grouped nets may share, ungrouped
   // must not exceed capacity.
@@ -170,7 +172,7 @@ TEST(Route, NoOveruseOnSuccess) {
 TEST(Place, AllClustersGetDistinctPositions) {
   Prepared p = prepared(10, true);
   const CompiledDesign design =
-      compile(p.mapping.netlist, p.inst.trace_outputs, CompileOptions{});
+      compile_mapped(p.mapping.netlist, p.inst.trace_outputs);
   std::set<std::pair<int, int>> positions;
   for (const auto& pos : design.placement.cluster_pos) {
     EXPECT_TRUE(positions.insert(pos).second) << "overlapping clusters";
@@ -183,8 +185,7 @@ TEST(Place, DeterministicForSeed) {
   const auto nets = extract_nets(p.mapping.netlist, p.inst.trace_outputs);
   const Packing packing = pack(p.mapping.netlist, arch::ArchParams{});
   arch::Device dev(arch::ArchParams{},
-                   static_cast<std::size_t>(
-                       static_cast<double>(packing.num_clusters()) * 1.4) + 4);
+                   device_clbs(packing, CompileOptions{}.device_slack));
   PlaceOptions options;
   options.seed = 99;
   const Placement a = place(p.mapping.netlist, packing, nets, dev, options);

@@ -47,11 +47,9 @@ Placed placed_design(std::uint64_t seed, std::size_t gates = 80) {
   Placed p;
   p.net = std::move(mapping.netlist);
   p.packing = pack(p.net, arch::ArchParams{});
-  const std::size_t min_clbs =
-      static_cast<std::size_t>(
-          static_cast<double>(p.packing.num_clusters()) * 1.4) +
-      4;
-  p.device = std::make_unique<arch::Device>(arch::ArchParams{}, min_clbs);
+  p.device = std::make_unique<arch::Device>(
+      arch::ArchParams{},
+      device_clbs(p.packing, CompileOptions{}.device_slack));
   p.rr = std::make_unique<arch::RRGraph>(*p.device);
   p.nets = extract_nets(p.net, inst.trace_outputs);
   p.placement = place(p.net, p.packing, p.nets, *p.device, PlaceOptions{});

@@ -7,6 +7,7 @@
 #include "map/mappers.h"
 #include "pnr/flow.h"
 #include "pnr/nets.h"
+#include "testutil/compile.h"
 
 namespace fpgadbg::pnr {
 namespace {
@@ -18,15 +19,15 @@ CompiledDesign compiled(std::uint64_t seed, bool instrumented,
   auto nl = genbench::generate(spec);
   if (!instrumented) {
     auto mapping = map::abc_map(nl);
-    return compile(std::move(mapping.netlist), {}, CompileOptions{});
+    return testutil::compile_mapped(std::move(mapping.netlist), {});
   }
   debug::InstrumentOptions opt;
   opt.trace_width = 6;
   const auto inst = debug::parameterize_signals(nl, opt);
   auto mapping = param_aware ? map::tcon_map(inst.netlist)
                              : map::abc_map(inst.netlist);
-  return compile(std::move(mapping.netlist), inst.trace_outputs,
-                 CompileOptions{});
+  return testutil::compile_mapped(std::move(mapping.netlist),
+                                  inst.trace_outputs);
 }
 
 /// Index of the physical net driven by `driver` (there is at most one).
@@ -281,7 +282,8 @@ TEST(Timing, TimingDrivenFlowRoutes) {
   auto mapping = map::tcon_map(nl);
   CompileOptions opt;
   opt.timing.timing_driven = true;
-  const auto design = compile(std::move(mapping.netlist), {}, opt);
+  const auto design =
+      testutil::compile_mapped(std::move(mapping.netlist), {}, opt);
   EXPECT_TRUE(design.report.route_success);
   EXPECT_TRUE(design.report.timing_driven);
   EXPECT_GT(design.report.critical_path_ns, 0.0);
