@@ -1,9 +1,12 @@
 // Reproduces the paper's §V-C1 compile-time comparison on small designs:
 // with parameterized resources the flow needs ~3x fewer wires (paper:
 // 5316 vs 15699), up to 4x fewer CLBs, and place & route runs up to 3x
-// faster than the conventional flow on the same instrumented designs.
+// faster than the conventional flow on the same instrumented designs.  The
+// P&R times are medians over repeated legs; the runtime ratio is published
+// with its interquartile range.
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -21,11 +24,29 @@ using namespace fpgadbg;
 
 namespace {
 
+/// P&R is wall-clock on a shared host: each leg runs this many times and the
+/// runtime ratio is published as a median with its interquartile range.
+constexpr std::size_t kRepeats = 5;
+
 struct Row {
   std::string name;
-  pnr::CompileReport conv;
+  pnr::CompileReport conv;  ///< first repeat (area and wires are exact)
   pnr::CompileReport prop;
+  std::vector<double> conv_s, prop_s;  ///< P&R seconds per repeat
 };
+
+double pnr_seconds(const pnr::CompileReport& r) {
+  return r.place_seconds + r.route_seconds;
+}
+
+/// Linear-interpolated quantile of `v` (q in [0, 1]).
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+}
 
 Row run_one(const genbench::CircuitSpec& spec) {
   Row row;
@@ -35,19 +56,26 @@ Row run_one(const genbench::CircuitSpec& spec) {
   inst_opt.trace_width = 8;
   const auto inst = debug::parameterize_signals(user, inst_opt);
 
-  // Both legs run the pipeline's own physical stages, uncached.
+  // Both legs run the pipeline's own physical stages, uncached; the legs
+  // alternate so a slow spell of the host falls on both alike.
   const flow::Pipeline pipeline{debug::OfflineOptions{}};
-  {
-    auto mapping = map::abc_map(inst.netlist);
-    row.conv = pipeline.compile(std::move(mapping.netlist), inst.trace_outputs)
-                   .take_or_raise()
-                   .report;
-  }
-  {
-    auto mapping = map::tcon_map(inst.netlist);
-    row.prop = pipeline.compile(std::move(mapping.netlist), inst.trace_outputs)
-                   .take_or_raise()
-                   .report;
+  const auto conv_mapping = map::abc_map(inst.netlist);
+  const auto prop_mapping = map::tcon_map(inst.netlist);
+  for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+    const pnr::CompileReport conv =
+        pipeline.compile(conv_mapping.netlist, inst.trace_outputs)
+            .take_or_raise()
+            .report;
+    const pnr::CompileReport prop =
+        pipeline.compile(prop_mapping.netlist, inst.trace_outputs)
+            .take_or_raise()
+            .report;
+    if (rep == 0) {
+      row.conv = conv;
+      row.prop = prop;
+    }
+    row.conv_s.push_back(pnr_seconds(conv));
+    row.prop_s.push_back(pnr_seconds(prop));
   }
   return row;
 }
@@ -117,31 +145,37 @@ int main() {
 
   std::printf("%-8s | %10s | %13s | %13s | %12s | %7s\n", "design",
               "CLBs c/p", "wires c/p", "wirelen c/p", "P&R s c/p", "routed");
-  double wl_ratio = 1.0, clb_ratio = 1.0, time_ratio = 1.0;
+  double wl_ratio = 1.0, clb_ratio = 1.0;
+  std::vector<double> time_ratio(kRepeats, 1.0);  // geomean product per repeat
   for (const auto& spec : specs) {
     const Row row = run_one(spec);
     std::printf("%-8s | %4zu %5zu | %6zu %6zu | %6zu %6zu | %5.2f %5.2f | %s/%s\n",
                 row.name.c_str(), row.conv.clbs_used, row.prop.clbs_used,
                 row.conv.wire_nodes_used, row.prop.wire_nodes_used,
                 row.conv.total_wirelength, row.prop.total_wirelength,
-                row.conv.place_seconds + row.conv.route_seconds,
-                row.prop.place_seconds + row.prop.route_seconds,
+                quantile(row.conv_s, 0.5), quantile(row.prop_s, 0.5),
                 row.conv.route_success ? "ok" : "FAIL",
                 row.prop.route_success ? "ok" : "FAIL");
     wl_ratio *= static_cast<double>(row.conv.total_wirelength) /
                 static_cast<double>(row.prop.total_wirelength);
     clb_ratio *= static_cast<double>(row.conv.clbs_used) /
                  static_cast<double>(row.prop.clbs_used);
-    time_ratio *= (row.conv.place_seconds + row.conv.route_seconds) /
-                  std::max(1e-9, row.prop.place_seconds + row.prop.route_seconds);
+    for (std::size_t rep = 0; rep < kRepeats; ++rep) {
+      time_ratio[rep] *= row.conv_s[rep] / std::max(1e-9, row.prop_s[rep]);
+    }
   }
   const double n = static_cast<double>(specs.size());
+  telemetry::Histogram& ratio_hist =
+      telemetry::metrics().histogram("bench.compile.pnr_runtime_ratio");
+  for (double& r : time_ratio) r = ratio_hist.observe(std::pow(r, 1.0 / n));
   std::printf("\ngeomean wirelength ratio (conv/prop): %.2fx (paper ~3x: 15699 vs 5316)\n",
               std::pow(wl_ratio, 1.0 / n));
   std::printf("geomean CLB ratio (conv/prop):        %.2fx (paper: up to 4x)\n",
               std::pow(clb_ratio, 1.0 / n));
-  std::printf("geomean P&R runtime ratio (conv/prop): %.2fx (paper: up to 3x faster)\n",
-              std::pow(time_ratio, 1.0 / n));
+  std::printf("geomean P&R runtime ratio (conv/prop): median %.2fx, IQR "
+              "%.2fx-%.2fx over %zu repeats (paper: up to 3x faster)\n",
+              quantile(time_ratio, 0.5), quantile(time_ratio, 0.25),
+              quantile(time_ratio, 0.75), kRepeats);
   run_cache_section();
   fpgadbg::bench::dump_metrics("compile_time");
   return 0;

@@ -1,6 +1,7 @@
 #include "bitstream/pconf.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "support/error.h"
 #include "support/stopwatch.h"
@@ -11,14 +12,17 @@ namespace fpgadbg::bitstream {
 namespace {
 
 /// One batched registry update per SCG invocation (the per-bit loops stay
-/// free of atomics).
-void record_scg(const char* path, std::size_t bits_evaluated,
+/// free of atomics).  `path` counts the kind of specialization.
+void record_scg(telemetry::Counter& path, std::size_t bits_evaluated,
                 std::size_t bdd_nodes_visited, double eval_seconds) {
   telemetry::MetricsRegistry& m = telemetry::metrics();
-  m.counter(path).add(1);
-  m.counter("scg.bits_reevaluated").add(bits_evaluated);
-  m.counter("scg.bdd_nodes_visited").add(bdd_nodes_visited);
-  m.histogram("scg.eval_seconds").observe(eval_seconds);
+  static telemetry::Counter& bits = m.counter("scg.bits_reevaluated");
+  static telemetry::Counter& nodes = m.counter("scg.bdd_nodes_visited");
+  static telemetry::Histogram& seconds = m.histogram("scg.eval_seconds");
+  path.add(1);
+  bits.add(bits_evaluated);
+  nodes.add(bdd_nodes_visited);
+  seconds.observe(eval_seconds);
 }
 
 }  // namespace
@@ -73,6 +77,7 @@ void PConf::thaw_functions() {
   fn_count_b_ = 0;
   fn_backing_.reset();
   map_dirty_ = true;
+  index_built_ = false;
 }
 
 FunctionView PConf::functions() const {
@@ -88,14 +93,6 @@ bool PConf::is_parameterized(std::size_t bit) const {
   const std::uint64_t* end = view.bits + view.count;
   const std::uint64_t* it = std::lower_bound(view.bits, end, bit);
   return it != end && *it == bit;
-}
-
-logic::BddRef PConf::ref_of(std::size_t bit) const {
-  const FunctionView view = functions();
-  const std::uint64_t* end = view.bits + view.count;
-  const std::uint64_t* it = std::lower_bound(view.bits, end, bit);
-  FPGADBG_REQUIRE(it != end && *it == bit, "bit is not parameterized");
-  return view.refs[it - view.bits];
 }
 
 support::Status PConf::adopt_functions(const std::uint64_t* bits,
@@ -128,7 +125,6 @@ support::Status PConf::adopt_functions(const std::uint64_t* bits,
   fn_count_b_ = count;
   fn_backing_ = std::move(backing);
   index_built_ = false;
-  bits_by_param_.clear();
   return Status();
 }
 
@@ -176,12 +172,12 @@ BitVec PConf::values_from(
   return values;
 }
 
-PConf::Specialization PConf::specialize(
-    const std::unordered_map<std::string, bool>& assignment) const {
+PConf::Specialization PConf::specialize_values(const BitVec& values) const {
+  FPGADBG_REQUIRE(values.size() == num_params(),
+                  "parameter values have the wrong width");
   telemetry::TraceScope span("scg.specialize_full", "scg");
   Specialization result;
   Stopwatch timer;
-  const BitVec values = values_from(assignment);
   result.memory = constant_;
   std::size_t visited = 0;
   const FunctionView view = functions();
@@ -190,9 +186,16 @@ PConf::Specialization PConf::specialize(
     ++result.bits_evaluated;
   }
   result.eval_seconds = timer.elapsed_seconds();
-  record_scg("scg.full_specializations", result.bits_evaluated, visited,
+  static telemetry::Counter& specializations =
+      telemetry::metrics().counter("scg.full_specializations");
+  record_scg(specializations, result.bits_evaluated, visited,
              result.eval_seconds);
   return result;
+}
+
+PConf::Specialization PConf::specialize(
+    const std::unordered_map<std::string, bool>& assignment) const {
+  return specialize_values(values_from(assignment));
 }
 
 std::vector<PConf::Specialization> PConf::specialize_batch(
@@ -233,60 +236,82 @@ std::vector<PConf::Specialization> PConf::specialize_batch(
       batch == 0 ? 0.0 : timer.elapsed_seconds() / static_cast<double>(batch);
   for (auto& r : results) r.eval_seconds = per_spec;
   if (batch != 0) {
-    record_scg("scg.batch_specializations", view.count * batch,
+    static telemetry::Counter& specializations =
+        telemetry::metrics().counter("scg.batch_specializations");
+    record_scg(specializations, view.count * batch,
                /*bdd_nodes_visited=*/0, timer.elapsed_seconds());
   }
   return results;
 }
 
-const std::vector<std::vector<std::size_t>>& PConf::bits_by_param() const {
+const logic::BddManager::SupportIndex& PConf::functions_by_param() const {
   if (!index_built_) {
-    bits_by_param_.assign(param_names_.size(), {});
     const FunctionView view = functions();
-    for (std::size_t i = 0; i < view.count; ++i) {
-      for (int v : bdd_.support(view.refs[i])) {
-        bits_by_param_[static_cast<std::size_t>(v)].push_back(view.bits[i]);
-      }
-    }
+    fn_by_param_ = bdd_.support_index(view.refs, view.count);
+    // The manager has at least one variable per parameter; rows past the
+    // parameters are dropped (parameter values never reach them).
+    fn_by_param_.begin.resize(num_params() + 1);
     index_built_ = true;
   }
-  return bits_by_param_;
+  return fn_by_param_;
+}
+
+PConf::Specialization PConf::specialize_values_incremental(
+    Specialization previous, const BitVec& previous_values,
+    const BitVec& values) const {
+  FPGADBG_REQUIRE(previous.memory.total_bits() == total_bits(),
+                  "previous specialization has the wrong geometry");
+  FPGADBG_REQUIRE(previous_values.size() == num_params() &&
+                      values.size() == num_params(),
+                  "parameter values have the wrong width");
+  telemetry::TraceScope span("scg.specialize_incremental", "scg");
+  Specialization result;
+  Stopwatch timer;
+  result.memory = std::move(previous.memory);
+  const logic::BddManager::SupportIndex& index = functions_by_param();
+  const FunctionView view = functions();
+  // Per-turn stamps: a function that depends on several changed parameters
+  // is evaluated once; a frame is listed once however many of its bits flip.
+  BitVec evaluated(view.count);
+  BitVec frame_changed(result.memory.num_frames());
+  std::size_t visited = 0;
+  for (std::size_t w = 0; w < values.word_count(); ++w) {
+    for (std::uint64_t diff = values.word(w) ^ previous_values.word(w);
+         diff != 0; diff &= diff - 1) {
+      const std::size_t p =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(diff));
+      for (std::uint32_t k = index.begin[p]; k < index.begin[p + 1]; ++k) {
+        const std::uint32_t fn = index.items[k];
+        if (evaluated.get(fn)) continue;
+        evaluated.set(fn, true);
+        ++result.bits_evaluated;
+        const std::size_t bit = view.bits[fn];
+        const bool value = bdd_.evaluate(view.refs[fn], values, &visited);
+        if (value == result.memory.get(bit)) continue;
+        result.memory.set(bit, value);
+        ++result.bits_changed;
+        frame_changed.set(bit / arch::FrameGeometry::kFrameBits, true);
+      }
+    }
+  }
+  for (std::size_t f = frame_changed.find_first(); f < frame_changed.size();
+       f = frame_changed.find_next(f + 1)) {
+    result.changed_frames.push_back(f);
+  }
+  result.eval_seconds = timer.elapsed_seconds();
+  static telemetry::Counter& specializations =
+      telemetry::metrics().counter("scg.incremental_specializations");
+  record_scg(specializations, result.bits_evaluated, visited,
+             result.eval_seconds);
+  return result;
 }
 
 PConf::Specialization PConf::specialize_incremental(
     const Specialization& previous,
     const std::unordered_map<std::string, bool>& previous_assignment,
     const std::unordered_map<std::string, bool>& assignment) const {
-  FPGADBG_REQUIRE(previous.memory.total_bits() == total_bits(),
-                  "previous specialization has the wrong geometry");
-  telemetry::TraceScope span("scg.specialize_incremental", "scg");
-  Specialization result;
-  Stopwatch timer;
-  const BitVec old_values = values_from(previous_assignment);
-  const BitVec new_values = values_from(assignment);
-
-  result.memory = previous.memory;
-  const auto& index = bits_by_param();
-  // Re-evaluate each affected bit once (a bit may depend on several changed
-  // parameters; evaluation is idempotent so duplicates are merely wasted
-  // work, and the per-bit dedup below avoids most of it).
-  std::vector<std::size_t> dirty;
-  for (std::size_t p = 0; p < param_names_.size(); ++p) {
-    if (old_values.get(p) != new_values.get(p)) {
-      dirty.insert(dirty.end(), index[p].begin(), index[p].end());
-    }
-  }
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  std::size_t visited = 0;
-  for (std::size_t bit : dirty) {
-    result.memory.set(bit, bdd_.evaluate(ref_of(bit), new_values, &visited));
-    ++result.bits_evaluated;
-  }
-  result.eval_seconds = timer.elapsed_seconds();
-  record_scg("scg.incremental_specializations", result.bits_evaluated, visited,
-             result.eval_seconds);
-  return result;
+  return specialize_values_incremental(
+      previous, values_from(previous_assignment), values_from(assignment));
 }
 
 }  // namespace fpgadbg::bitstream

@@ -90,12 +90,33 @@ class PConf {
     ConfigMemory memory;
     std::size_t bits_evaluated = 0;
     double eval_seconds = 0.0;  ///< measured SCG evaluation time
+    /// Incremental specializations only (a full one leaves them empty):
+    /// the bits that differ from the previous specialization and the
+    /// frames holding them, ascending — the partial reconfiguration.
+    std::size_t bits_changed = 0;
+    std::vector<std::size_t> changed_frames;
   };
 
   /// The Specialized Configuration Generator: evaluate all parameterized
-  /// bits under `assignment` (by parameter name; missing names default to
-  /// false).
+  /// bits under `values` (one bit per parameter, param_names() order).
+  Specialization specialize_values(const BitVec& values) const;
+
+  /// Incremental SCG: given the previous specialization and its values,
+  /// re-evaluate ONLY the functions that depend on a changed parameter,
+  /// each once, and record every bit that flips.  The embedded-processor
+  /// optimization behind the paper's microsecond-scale turns on large
+  /// PConfs.  The memory is bit-identical to specialize_values(values).
+  /// Pass `previous` as an rvalue to update its memory in place.
+  Specialization specialize_values_incremental(Specialization previous,
+                                               const BitVec& previous_values,
+                                               const BitVec& values) const;
+
+  /// Name-keyed adapters over specialize_values*(values_from(...)).
   Specialization specialize(
+      const std::unordered_map<std::string, bool>& assignment) const;
+  Specialization specialize_incremental(
+      const Specialization& previous,
+      const std::unordered_map<std::string, bool>& previous_assignment,
       const std::unordered_map<std::string, bool>& assignment) const;
 
   /// Word-parallel SCG: specialize up to 64 assignments in one pass.  Lane
@@ -108,27 +129,20 @@ class PConf {
       const std::vector<std::unordered_map<std::string, bool>>& assignments)
       const;
 
-  /// Incremental SCG: given the previous specialization and its assignment,
-  /// re-evaluate ONLY the bits whose functions depend on a changed
-  /// parameter.  The embedded-processor optimization behind the paper's
-  /// microsecond-scale turns on large PConfs.  Results are bit-identical to
-  /// specialize(new_assignment).
-  Specialization specialize_incremental(
-      const Specialization& previous,
-      const std::unordered_map<std::string, bool>& previous_assignment,
-      const std::unordered_map<std::string, bool>& assignment) const;
-
-  /// Builds the parameter->bits index the incremental SCG uses.  Called by
-  /// the offline stage so no online turn pays the one-time cost; safe (and
-  /// idempotent) to call any time.
-  void prepare_incremental() const { (void)bits_by_param(); }
+  /// Builds the parameter -> functions index the incremental SCG uses.
+  /// Derived state (never serialized): the offline stage calls it after a
+  /// build or a cache load so no online turn pays the one-time cost; safe
+  /// (and idempotent) to call any time.
+  void prepare_incremental() const { (void)functions_by_param(); }
 
  private:
+  /// Parameter values in index space (bit i = parameter i) of a name-keyed
+  /// assignment.  Unknown names are rejected; missing names read as false.
   BitVec values_from(
       const std::unordered_map<std::string, bool>& assignment) const;
-  /// Lazily built inverted index: parameter variable -> bits whose function
-  /// depends on it.
-  const std::vector<std::vector<std::size_t>>& bits_by_param() const;
+  /// CSR table: row p lists, ascending, the function slots (indices into
+  /// functions()) whose BDD support contains parameter p.  Built lazily.
+  const logic::BddManager::SupportIndex& functions_by_param() const;
 
   std::size_t flat_count() const {
     return fn_backing_ ? fn_count_b_ : fn_bits_owned_.size();
@@ -138,10 +152,6 @@ class PConf {
   /// Copy-on-write: moves the flat table (owned or borrowed) back into
   /// build_map_ so mutation can proceed.
   void thaw_functions();
-  /// BDD of the function attached to `bit`; REQUIREs the bit is
-  /// parameterized.
-  logic::BddRef ref_of(std::size_t bit) const;
-
   ConfigMemory constant_;
   std::vector<std::string> param_names_;
   std::unordered_map<std::string, int> param_index_;
@@ -159,7 +169,7 @@ class PConf {
   const std::uint32_t* fn_refs_b_ = nullptr;
   std::size_t fn_count_b_ = 0;
   std::shared_ptr<const void> fn_backing_;
-  mutable std::vector<std::vector<std::size_t>> bits_by_param_;
+  mutable logic::BddManager::SupportIndex fn_by_param_;
   mutable bool index_built_ = false;
 };
 

@@ -161,6 +161,21 @@ void SessionJournal::write_event(std::ostream& os, const SessionEvent& e) {
 // SessionJournal
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// What one ringed event holds: the record and its lists' payloads.
+std::size_t event_bytes(const SessionEvent& e) {
+  std::size_t bytes = sizeof(SessionEvent) +
+                      e.frame_ids.size() * sizeof(std::uint64_t);
+  for (const std::vector<std::string>* list : {&e.signals, &e.samples}) {
+    bytes += list->size() * sizeof(std::string);
+    for (const std::string& s : *list) bytes += s.size();
+  }
+  return bytes;
+}
+
+}  // namespace
+
 SessionJournal::SessionJournal(std::size_t capacity)
     : capacity_(capacity ? capacity : 1) {}
 
@@ -182,8 +197,11 @@ void SessionJournal::append(SessionEvent event) {
     write_event(*sink_, event);
     *sink_ << '\n';
   }
+  bytes_ += event_bytes(event);
   events_.push_back(std::move(event));
-  if (events_.size() > capacity_) {
+  while (events_.size() > capacity_ ||
+         (bytes_ > byte_budget() && events_.size() > 1)) {
+    bytes_ -= event_bytes(events_.front());
     events_.pop_front();
     ++dropped_;
     dropped_counter.add(1);
@@ -192,6 +210,7 @@ void SessionJournal::append(SessionEvent event) {
 
 void SessionJournal::clear() {
   events_.clear();
+  bytes_ = 0;
   total_ = 0;
   dropped_ = 0;
   next_seq_ = 0;
@@ -298,6 +317,7 @@ support::Result<SessionJournal> SessionJournal::load(std::istream& in) {
     // preserved and telemetry counters are not charged for re-ingestion.
     journal.next_seq_ = std::max(journal.next_seq_, e.seq + 1);
     ++journal.total_;
+    journal.bytes_ += event_bytes(e);
     journal.events_.push_back(std::move(e));
   }
   return journal;

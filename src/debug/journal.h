@@ -92,10 +92,15 @@ struct SessionEvent {
 
 class SessionJournal {
  public:
-  /// `capacity` bounds the in-memory ring; once full the oldest events are
-  /// dropped (counted in dropped_events()).  The JSONL sink, once attached,
-  /// sees every event regardless of ring eviction.
+  /// The in-memory ring holds at most `capacity` events and at most
+  /// capacity * kBytesPerEvent bytes of them (event records plus their
+  /// signal, frame and sample lists; 16 MiB by default), so its footprint
+  /// does not grow with the turn rate or the lane count.  Beyond either
+  /// bound the oldest events are dropped (counted in dropped_events()); the
+  /// newest event is always kept.  The JSONL sink, once attached, sees
+  /// every event regardless of eviction.
   explicit SessionJournal(std::size_t capacity = 1u << 16);
+  static constexpr std::size_t kBytesPerEvent = 256;
 
   bool enabled() const { return enabled_; }
   /// Disabling stops recording entirely (events are neither ringed nor
@@ -113,6 +118,9 @@ class SessionJournal {
 
   std::size_t size() const { return events_.size(); }
   std::size_t capacity() const { return capacity_; }
+  std::size_t byte_budget() const { return capacity_ * kBytesPerEvent; }
+  /// Bytes the ringed events hold, counted as the constructor describes.
+  std::size_t bytes() const { return bytes_; }
   std::uint64_t total_events() const { return total_; }
   std::uint64_t dropped_events() const { return dropped_; }
   const std::deque<SessionEvent>& events() const { return events_; }
@@ -130,6 +138,7 @@ class SessionJournal {
 
  private:
   std::size_t capacity_;
+  std::size_t bytes_ = 0;
   bool enabled_ = true;
   std::deque<SessionEvent> events_;
   std::uint64_t total_ = 0;

@@ -4,6 +4,7 @@
 
 #include "support/error.h"
 #include "support/log.h"
+#include "support/stopwatch.h"
 #include "support/telemetry.h"
 
 namespace fpgadbg::debug {
@@ -30,6 +31,17 @@ DebugSession::DebugSession(const OfflineResult& offline,
     lane_cells_[l] =
         mn.outputs()[static_cast<std::size_t>(it - names.begin())];
   }
+  const Instrumented& inst = offline_.instrumented;
+  param_cells_.reserve(inst.num_params());
+  for (const std::string& name : inst.param_names()) {
+    const auto cell = mn.find(name);
+    FPGADBG_REQUIRE(cell && mn.cell(*cell).kind == map::MKind::kParam,
+                    "select parameter missing after mapping: " + name);
+    param_cells_.push_back(*cell);
+  }
+  FPGADBG_REQUIRE(!offline_.pconf ||
+                      offline_.pconf->param_names() == inst.param_names(),
+                  "PConf parameters differ from the instrumentation's");
   {
     // The coverage universe: every signal wired into any lane (replication
     // places a signal in several lanes; the tracker dedups).
@@ -77,6 +89,7 @@ void DebugSession::flush_cycle_batch() const {
 }
 
 TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
+  Stopwatch wall;
   telemetry::MetricsRegistry& m = telemetry::metrics();
   telemetry::TraceScope turn_span("debug.turn");
   flush_cycle_batch();
@@ -87,57 +100,50 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
     journal_event(std::move(e));
   }
   TurnReport report;
-  const auto assignment = offline_.instrumented.select_signals(signals);
-  report.observed = offline_.instrumented.observed_under(assignment);
+  Stopwatch part;
+  BitVec values = offline_.instrumented.select_values(signals);
+  report.observed = offline_.instrumented.observed_under_values(values);
+  report.select_seconds = part.elapsed_seconds();
 
   if (offline_.pconf) {
-    std::vector<std::size_t> changed_frames;  ///< partial turns only
-    std::size_t bits_evaluated = 0;
-    bool full = false;
-    if (current_spec_) {
-      // Incremental SCG: re-evaluate only the bits whose parameters changed.
-      auto spec = [&] {
-        telemetry::TraceScope scg_span("debug.scg");
-        return offline_.pconf->specialize_incremental(
-            *current_spec_, current_assignment_, assignment);
-      }();
-      report.scg_eval_seconds = spec.eval_seconds;
-      bits_evaluated = spec.bits_evaluated;
-      changed_frames = current_spec_->memory.changed_frames(spec.memory);
-      report.frames_reconfigured = changed_frames.size();
-      report.bits_changed = current_spec_->memory.bit_distance(spec.memory);
-      {
-        telemetry::TraceScope dpr_span("debug.dpr");
-        report.reconfig_seconds = icap_.partial_seconds(changed_frames.size());
-      }
-      churn_.record_partial(changed_frames);
-      current_spec_ = std::move(spec);
-    } else {
-      // First load: full evaluation + full configuration.
-      full = true;
-      auto spec = [&] {
-        telemetry::TraceScope scg_span("debug.scg");
-        return offline_.pconf->specialize(assignment);
-      }();
-      report.scg_eval_seconds = spec.eval_seconds;
-      bits_evaluated = spec.bits_evaluated;
-      report.frames_reconfigured = spec.memory.num_frames();
-      report.bits_changed = spec.memory.bits().count();
-      {
-        telemetry::TraceScope dpr_span("debug.dpr");
-        report.reconfig_seconds = icap_.full_seconds(spec.memory.num_frames());
-      }
-      churn_.record_full(spec.memory.num_frames());
-      current_spec_ = std::move(spec);
+    const bool full = !current_spec_;
+    {
+      telemetry::TraceScope scg_span("debug.scg");
+      // Incremental SCG after the first load: re-evaluate only the
+      // functions of changed parameters, updating the loaded configuration
+      // in place; the result lists the flipped bits' frames.  The first
+      // load evaluates everything.
+      current_spec_ =
+          full ? offline_.pconf->specialize_values(values)
+               : offline_.pconf->specialize_values_incremental(
+                     std::move(*current_spec_), current_values_, values);
     }
-    current_assignment_ = assignment;
+    const bitstream::PConf::Specialization& spec = *current_spec_;
+    report.scg_eval_seconds = spec.eval_seconds;
+    part.restart();
+    {
+      telemetry::TraceScope dpr_span("debug.dpr");
+      if (full) {
+        report.frames_reconfigured = spec.memory.num_frames();
+        report.bits_changed = spec.memory.bits().count();
+        report.reconfig_seconds = icap_.full_seconds(spec.memory.num_frames());
+        churn_.record_full(spec.memory.num_frames());
+      } else {
+        report.frames_reconfigured = spec.changed_frames.size();
+        report.bits_changed = spec.bits_changed;
+        report.reconfig_seconds =
+            icap_.partial_seconds(spec.changed_frames.size());
+        churn_.record_partial(spec.changed_frames);
+      }
+    }
+    report.frame_diff_seconds = part.elapsed_seconds();
     m.counter("debug.bits_changed").add(report.bits_changed);
     m.histogram("debug.reconfig_seconds").observe(report.reconfig_seconds);
     if (journal_.enabled()) {
       SessionEvent scg;
       scg.kind = SessionEventKind::kScgEval;
       scg.bits_changed = report.bits_changed;
-      scg.bits_evaluated = bits_evaluated;
+      scg.bits_evaluated = spec.bits_evaluated;
       scg.incremental = !full;
       scg.scg_eval_seconds = report.scg_eval_seconds;
       journal_event(std::move(scg));
@@ -146,7 +152,8 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
       icap.frames = report.frames_reconfigured;
       icap.full = full;
       icap.reconfig_seconds = report.reconfig_seconds;
-      icap.frame_ids.assign(changed_frames.begin(), changed_frames.end());
+      icap.frame_ids.assign(spec.changed_frames.begin(),
+                            spec.changed_frames.end());
       journal_event(std::move(icap));
     }
   }
@@ -162,11 +169,12 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
 
   // Apply the parameters to the emulated DUT (the effect the partial
   // reconfiguration has on real hardware).
-  const MappedNetlist& mn = offline_.mapping.netlist;
-  for (CellId p : mn.params()) {
-    const auto it = assignment.find(mn.cell(p).name);
-    sim_.set_param(p, it != assignment.end() && it->second);
+  part.restart();
+  for (std::size_t k = 0; k < param_cells_.size(); ++k) {
+    sim_.set_param(param_cells_[k], values.get(k));
   }
+  report.retarget_seconds = part.elapsed_seconds();
+  current_values_ = std::move(values);
   observed_ = report.observed;
 
   const double coverage = coverage_.note_turn(report.observed);
@@ -192,6 +200,7 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
   summary_.conventional_recompile_seconds +=
       offline_.map_seconds + offline_.pnr_seconds +
       offline_.bitstream_seconds;
+  report.wall_seconds = wall.elapsed_seconds();
   return report;
 }
 
@@ -215,12 +224,13 @@ void DebugSession::reset() {
 
 const BitVec& DebugSession::step(const std::vector<bool>& inputs) {
   sim_.set_inputs(inputs);
-  sim_.eval();
+  // step() evaluates once and then clocks; both engines leave the cycle's
+  // combinational values in place, so the sample needs no second eval.
+  sim_.step();
   for (std::size_t l = 0; l < lanes_; ++l) {
     last_sample_.set(l, sim_.value(lane_cells_[l]));
   }
   trace_.capture(last_sample_);
-  sim_.step();
   ++summary_.cycles_emulated;
   ++pending_cycles_;
   static telemetry::Counter& cycles =

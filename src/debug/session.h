@@ -11,7 +11,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bitstream/churn.h"
@@ -34,6 +33,12 @@ struct TurnReport {
   double scg_eval_seconds = 0.0;         ///< measured Boolean evaluation time
   double reconfig_seconds = 0.0;         ///< modeled HWICAP transfer time
   double turn_seconds = 0.0;             ///< eval + reconfig
+  // The measured ledger of the turn: each part is timed inside observe(),
+  // so the parts never add up to more than wall_seconds.
+  double select_seconds = 0.0;      ///< signal matching -> parameter values
+  double frame_diff_seconds = 0.0;  ///< frame list -> ICAP model and churn
+  double retarget_seconds = 0.0;    ///< parameter values -> emulated DUT
+  double wall_seconds = 0.0;        ///< the whole observe() call
 };
 
 struct SessionSummary {
@@ -59,6 +64,10 @@ class DebugSession {
   std::size_t num_lanes() const { return lanes_; }
   const sim::TraceBuffer& trace() const { return trace_; }
   const std::vector<std::string>& observed() const { return observed_; }
+  /// The configuration the last turn loaded; null without a PConf.
+  const bitstream::ConfigMemory* configuration() const {
+    return current_spec_ ? &current_spec_->memory : nullptr;
+  }
   sim::MappedSimulator& dut() { return sim_; }
 
   /// The session flight recorder.  Enabled by default (in-memory ring only);
@@ -80,8 +89,8 @@ class DebugSession {
   /// Reset the emulated DUT and clear the trace window.
   void reset();
 
-  /// One emulation cycle: drive inputs, evaluate, capture a trace sample,
-  /// clock.  Returns the captured sample.
+  /// One emulation cycle: drive inputs, evaluate and clock (one DUT
+  /// evaluation), capture the cycle's trace sample.  Returns the sample.
   const BitVec& step(const std::vector<bool>& inputs);
 
   /// Runs until the trigger stops capture or max_cycles elapse; inputs come
@@ -121,11 +130,15 @@ class DebugSession {
   std::size_t lanes_;
   sim::TraceBuffer trace_;
   std::vector<map::CellId> lane_cells_;  ///< trace output cell per lane
+  /// The session's parameter index space is the instrumentation's
+  /// (Instrumented::param_names()); the PConf's must match it.  DUT cell of
+  /// each parameter, for the retarget.
+  std::vector<map::CellId> param_cells_;
   std::vector<std::string> observed_;
-  /// Last specialization + its assignment: enables the incremental SCG
-  /// (only parameter-touched bits are re-evaluated on later turns).
+  /// Last specialization + its parameter values: enables the incremental
+  /// SCG (only parameter-touched bits are re-evaluated on later turns).
   std::optional<bitstream::PConf::Specialization> current_spec_;
-  std::unordered_map<std::string, bool> current_assignment_;
+  BitVec current_values_;
   SessionSummary summary_;
   BitVec last_sample_;
   /// Flight recorder + analytics.  Mutable: const entry points (snapshot)

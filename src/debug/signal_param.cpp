@@ -33,6 +33,39 @@ TruthTable mux_tt(int radix, int sel_bits) {
 
 }  // namespace
 
+void Instrumented::index_signals() {
+  signal_id_.clear();
+  place_begin_.clear();
+  placements_.clear();
+  lane_param_begin_.assign(1, 0);
+  param_names_.clear();
+  // Placements grouped by signal id, each group in lane order: the order a
+  // lane-by-lane scan meets them (first occurrence per lane).
+  std::vector<std::vector<Placement>> by_signal;
+  for (std::size_t l = 0; l < lane_signals.size(); ++l) {
+    for (std::size_t i = 0; i < lane_signals[l].size(); ++i) {
+      const auto [it, inserted] = signal_id_.try_emplace(
+          lane_signals[l][i], static_cast<std::uint32_t>(by_signal.size()));
+      if (inserted) by_signal.emplace_back();
+      auto& group = by_signal[it->second];
+      if (!group.empty() && group.back().lane == l) continue;
+      group.push_back(Placement{static_cast<std::uint32_t>(l),
+                                static_cast<std::uint32_t>(i)});
+    }
+  }
+  place_begin_.reserve(by_signal.size() + 1);
+  place_begin_.push_back(0);
+  for (const auto& group : by_signal) {
+    placements_.insert(placements_.end(), group.begin(), group.end());
+    place_begin_.push_back(static_cast<std::uint32_t>(placements_.size()));
+  }
+  for (const auto& lane : lane_params) {
+    param_names_.insert(param_names_.end(), lane.begin(), lane.end());
+    lane_param_begin_.push_back(
+        static_cast<std::uint32_t>(param_names_.size()));
+  }
+}
+
 std::size_t Instrumented::num_observable() const {
   std::size_t n = 0;
   for (const auto& lane : lane_signals) n += lane.size();
@@ -51,83 +84,108 @@ std::pair<std::size_t, std::size_t> Instrumented::locate(
 std::vector<std::pair<std::size_t, std::size_t>> Instrumented::locate_all(
     const std::string& signal) const {
   std::vector<std::pair<std::size_t, std::size_t>> found;
-  for (std::size_t l = 0; l < lane_signals.size(); ++l) {
-    const auto& lane = lane_signals[l];
-    const auto it = std::find(lane.begin(), lane.end(), signal);
-    if (it != lane.end()) {
-      found.emplace_back(l, static_cast<std::size_t>(it - lane.begin()));
-    }
+  const auto it = signal_id_.find(signal);
+  if (it == signal_id_.end()) return found;
+  for (std::uint32_t k = place_begin_[it->second];
+       k < place_begin_[it->second + 1]; ++k) {
+    found.emplace_back(placements_[k].lane, placements_[k].index);
   }
   return found;
 }
 
-std::unordered_map<std::string, bool> Instrumented::select_signals(
+BitVec Instrumented::select_values(
     const std::vector<std::string>& signals) const {
+  FPGADBG_REQUIRE(lane_param_begin_.size() == lane_params.size() + 1,
+                  "Instrumented::index_signals() was not called");
   // Bipartite matching (Kuhn's augmenting paths): signals on the left,
   // lanes on the right; an edge wherever a replica of the signal lives.
-  std::vector<std::vector<std::pair<std::size_t, std::size_t>>> candidates;
-  candidates.reserve(signals.size());
+  std::vector<std::uint32_t> ids;
+  ids.reserve(signals.size());
   for (const std::string& signal : signals) {
-    auto placements = locate_all(signal);
-    if (placements.empty()) {
+    const auto it = signal_id_.find(signal);
+    if (it == signal_id_.end()) {
       throw Error("signal is not observable: " + signal);
     }
-    candidates.push_back(std::move(placements));
+    ids.push_back(it->second);
   }
 
-  std::vector<int> lane_match(lane_signals.size(), -1);
-  std::vector<std::size_t> lane_index(lane_signals.size(), 0);
-
-  std::vector<bool> visited;
+  const std::size_t lanes = lane_signals.size();
+  std::vector<int> lane_match(lanes, -1);
+  std::vector<std::uint32_t> lane_index(lanes, 0);
+  // visited[lane] == stamp: lane already tried for the current signal.
+  std::vector<std::size_t> visited(lanes, 0);
+  std::size_t stamp = 0;
   auto try_assign = [&](auto&& self, std::size_t sig) -> bool {
-    for (const auto& [lane, index] : candidates[sig]) {
-      if (visited[lane]) continue;
-      visited[lane] = true;
-      if (lane_match[lane] < 0 ||
-          self(self, static_cast<std::size_t>(lane_match[lane]))) {
-        lane_match[lane] = static_cast<int>(sig);
-        lane_index[lane] = index;
+    const std::uint32_t id = ids[sig];
+    for (std::uint32_t k = place_begin_[id]; k < place_begin_[id + 1]; ++k) {
+      const Placement& p = placements_[k];
+      if (visited[p.lane] == stamp) continue;
+      visited[p.lane] = stamp;
+      if (lane_match[p.lane] < 0 ||
+          self(self, static_cast<std::size_t>(lane_match[p.lane]))) {
+        lane_match[p.lane] = static_cast<int>(sig);
+        lane_index[p.lane] = p.index;
         return true;
       }
     }
     return false;
   };
   for (std::size_t sig = 0; sig < signals.size(); ++sig) {
-    visited.assign(lane_signals.size(), false);
+    ++stamp;
     if (!try_assign(try_assign, sig)) {
       throw Error("no conflict-free lane assignment: signal " + signals[sig] +
                   " cannot be observed together with the others");
     }
   }
 
-  std::unordered_map<std::string, bool> assignment;
-  for (const auto& lane : lane_params) {
-    for (const auto& p : lane) assignment[p] = false;
-  }
-  for (std::size_t lane = 0; lane < lane_match.size(); ++lane) {
+  BitVec values(num_params());
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
     if (lane_match[lane] < 0) continue;
-    for (std::size_t b = 0; b < lane_params[lane].size(); ++b) {
-      assignment[lane_params[lane][b]] = ((lane_index[lane] >> b) & 1) != 0;
+    const std::uint32_t first = lane_param_begin_[lane];
+    for (std::uint32_t b = 0; first + b < lane_param_begin_[lane + 1]; ++b) {
+      values.set(first + b, ((lane_index[lane] >> b) & 1) != 0);
     }
   }
-  return assignment;
+  return values;
 }
 
-std::vector<std::string> Instrumented::observed_under(
-    const std::unordered_map<std::string, bool>& params) const {
+std::vector<std::string> Instrumented::observed_under_values(
+    const BitVec& values) const {
+  FPGADBG_REQUIRE(values.size() == num_params(),
+                  "parameter values have the wrong width");
   std::vector<std::string> observed;
   observed.reserve(lane_signals.size());
   for (std::size_t l = 0; l < lane_signals.size(); ++l) {
     std::size_t index = 0;
-    for (std::size_t b = 0; b < lane_params[l].size(); ++b) {
-      const auto it = params.find(lane_params[l][b]);
-      if (it != params.end() && it->second) index |= std::size_t{1} << b;
+    const std::uint32_t first = lane_param_begin_[l];
+    for (std::uint32_t b = 0; first + b < lane_param_begin_[l + 1]; ++b) {
+      if (values.get(first + b)) index |= std::size_t{1} << b;
     }
     // Padded slots duplicate signal 0.
     observed.push_back(index < lane_signals[l].size() ? lane_signals[l][index]
                                                       : lane_signals[l][0]);
   }
   return observed;
+}
+
+std::unordered_map<std::string, bool> Instrumented::select_signals(
+    const std::vector<std::string>& signals) const {
+  const BitVec values = select_values(signals);
+  std::unordered_map<std::string, bool> assignment;
+  for (std::size_t k = 0; k < param_names_.size(); ++k) {
+    assignment[param_names_[k]] = values.get(k);
+  }
+  return assignment;
+}
+
+std::vector<std::string> Instrumented::observed_under(
+    const std::unordered_map<std::string, bool>& params) const {
+  BitVec values(num_params());
+  for (std::size_t k = 0; k < param_names_.size(); ++k) {
+    const auto it = params.find(param_names_[k]);
+    values.set(k, it != params.end() && it->second);
+  }
+  return observed_under_values(values);
 }
 
 Instrumented parameterize_signals(const Netlist& nl,
@@ -239,6 +297,7 @@ Instrumented parameterize_signals(const Netlist& nl,
   }
 
   out.check();
+  result.index_signals();
   return result;
 }
 

@@ -14,11 +14,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "netlist/netlist.h"
+#include "support/bitvec.h"
 #include "support/status.h"
 
 namespace fpgadbg::debug {
@@ -58,25 +60,60 @@ struct Instrumented {
   /// Name of each lane's trace output (feeds the trace buffer).
   std::vector<std::string> trace_outputs;
 
+  /// Builds the derived lookup tables the selection calls use (a name ->
+  /// placements index over lane_signals and the parameter numbering of
+  /// lane_params).  Never serialized: parameterize_signals and the artifact
+  /// loader call it; call it again after editing the lane tables by hand.
+  void index_signals();
+
   std::size_t num_observable() const;
+
+  /// Parameter index space: lane_params flattened lane by lane, LSB first
+  /// (the order parameterize_signals adds them to netlist.params()).
+  std::size_t num_params() const { return param_names_.size(); }
+  const std::vector<std::string>& param_names() const { return param_names_; }
 
   /// First (lane, index) of a signal, or (npos, npos) if unobservable.
   std::pair<std::size_t, std::size_t> locate(const std::string& signal) const;
-  /// All (lane, index) placements of a signal (replication >= 1 entries).
+  /// All (lane, index) placements of a signal (replication >= 1 entries),
+  /// ascending by lane.
   std::vector<std::pair<std::size_t, std::size_t>> locate_all(
       const std::string& signal) const;
 
-  /// Parameter assignment (param name -> value) that makes the requested
-  /// signals simultaneously visible, one per lane.  Lanes are chosen by
-  /// bipartite matching over each signal's replicated placements; lanes not
-  /// used keep index 0.  Throws if a name is unobservable or no conflict-free
-  /// lane assignment exists.
+  /// Parameter values (bit k = parameter k) that make the requested signals
+  /// simultaneously visible, one per lane.  Lanes are chosen by bipartite
+  /// matching over each signal's replicated placements; lanes not used
+  /// keep index 0.  Throws if a name is unobservable or no conflict-free
+  /// lane assignment exists.  Costs time in the number of requested signals
+  /// and their placements, not in the number of observable signals.
+  BitVec select_values(const std::vector<std::string>& signals) const;
+
+  /// The signal each lane shows under parameter values.
+  std::vector<std::string> observed_under_values(const BitVec& values) const;
+
+  /// Name-keyed adapters over select_values / observed_under_values: the
+  /// assignment names every parameter; names observed_under does not know
+  /// are ignored and missing ones read as false.
   std::unordered_map<std::string, bool> select_signals(
       const std::vector<std::string>& signals) const;
-
-  /// The signal each lane shows under a parameter assignment.
   std::vector<std::string> observed_under(
       const std::unordered_map<std::string, bool>& params) const;
+
+ private:
+  /// Placement (lane, index) of a signal in the lane tables.
+  struct Placement {
+    std::uint32_t lane;
+    std::uint32_t index;
+  };
+  /// Id of an observable signal name (ids follow first appearance).
+  std::unordered_map<std::string, std::uint32_t> signal_id_;
+  /// CSR: signal id s lives at placements_[place_begin_[s] ..
+  /// place_begin_[s+1]), ascending by lane.
+  std::vector<std::uint32_t> place_begin_;
+  std::vector<Placement> placements_;
+  /// Lane l's select bit b is parameter lane_param_begin_[l] + b.
+  std::vector<std::uint32_t> lane_param_begin_;
+  std::vector<std::string> param_names_;
 };
 
 /// Runs the signal parameterisation pass.  The returned netlist contains the

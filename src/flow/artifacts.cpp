@@ -200,6 +200,15 @@ Result<debug::Instrumented> deserialize_instrumented(ByteReader& r) {
   inst.lane_params = read_str_vec_vec(r);
   inst.trace_outputs = r.str_vec();
   FPGADBG_RETURN_IF_ERROR(r.status("instrument artifact"));
+  bool lanes_ok = inst.lane_params.size() == inst.lane_signals.size() &&
+                  inst.trace_outputs.size() == inst.lane_signals.size();
+  for (const auto& lane : inst.lane_signals) {
+    lanes_ok = lanes_ok && !lane.empty();
+  }
+  if (!lanes_ok) {
+    return Status::corrupt_artifact("instrument artifact: malformed lanes");
+  }
+  inst.index_signals();
   return inst;
 }
 

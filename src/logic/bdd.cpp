@@ -161,20 +161,6 @@ BddRef BddManager::restrict_var(BddRef f, int v, bool value) {
   return make_node(n.var, lo, hi);
 }
 
-bool BddManager::evaluate(BddRef f, const BitVec& assignment,
-                          std::size_t* visited) const {
-  std::size_t steps = 0;
-  while (!is_const(f)) {
-    const Node& n = node_at(f);
-    FPGADBG_ASSERT(n.var < assignment.size(),
-                   "BDD evaluation assignment too short");
-    f = assignment.get(n.var) ? n.high : n.low;
-    ++steps;
-  }
-  if (visited) *visited += steps;
-  return f == 1;
-}
-
 std::uint64_t BddManager::evaluate_word(
     BddRef f, const std::vector<std::uint64_t>& var_words,
     std::unordered_map<BddRef, std::uint64_t>& memo) const {
@@ -192,19 +178,59 @@ std::uint64_t BddManager::evaluate_word(
 }
 
 std::vector<int> BddManager::support(BddRef f) const {
-  std::set<std::uint32_t> vars;
-  std::vector<BddRef> stack{f};
-  std::set<BddRef> seen;
-  while (!stack.empty()) {
-    const BddRef r = stack.back();
-    stack.pop_back();
-    if (is_const(r) || !seen.insert(r).second) continue;
-    const Node& n = node_at(r);
-    vars.insert(n.var);
-    stack.push_back(n.low);
-    stack.push_back(n.high);
+  const SupportIndex index = support_index(&f, 1);
+  std::vector<int> vars;
+  for (std::size_t v = 0; v + 1 < index.begin.size(); ++v) {
+    if (index.begin[v + 1] != index.begin[v]) {
+      vars.push_back(static_cast<int>(v));
+    }
   }
-  return std::vector<int>(vars.begin(), vars.end());
+  return vars;
+}
+
+BddManager::SupportIndex BddManager::support_index(const BddRef* fs,
+                                                   std::size_t count) const {
+  // Pass 1: each function's variables, CSR by function.  A node or variable
+  // stamped with i + 1 was already seen by function i.
+  std::vector<std::uint32_t> node_stamp(size(), 0);
+  std::vector<std::uint32_t> var_stamp(static_cast<std::size_t>(num_vars_), 0);
+  std::vector<std::uint32_t> fn_begin(count + 1, 0);
+  std::vector<std::uint32_t> fn_vars;
+  std::vector<BddRef> stack;
+  SupportIndex index;
+  index.begin.assign(static_cast<std::size_t>(num_vars_) + 1, 0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto stamp = static_cast<std::uint32_t>(i + 1);
+    stack.push_back(fs[i]);
+    while (!stack.empty()) {
+      const BddRef r = stack.back();
+      stack.pop_back();
+      if (is_const(r) || node_stamp[r] == stamp) continue;
+      node_stamp[r] = stamp;
+      const Node& n = node_at(r);
+      if (var_stamp[n.var] != stamp) {
+        var_stamp[n.var] = stamp;
+        fn_vars.push_back(n.var);
+        ++index.begin[n.var + 1];
+      }
+      stack.push_back(n.low);
+      stack.push_back(n.high);
+    }
+    fn_begin[i + 1] = static_cast<std::uint32_t>(fn_vars.size());
+  }
+  // Pass 2: transpose into rows per variable; filling in function order
+  // keeps every row ascending.
+  for (std::size_t v = 0; v + 1 < index.begin.size(); ++v) {
+    index.begin[v + 1] += index.begin[v];
+  }
+  index.items.resize(fn_vars.size());
+  std::vector<std::uint32_t> cursor(index.begin.begin(), index.begin.end() - 1);
+  for (std::size_t i = 0; i < count; ++i) {
+    for (std::uint32_t k = fn_begin[i]; k < fn_begin[i + 1]; ++k) {
+      index.items[cursor[fn_vars[k]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  return index;
 }
 
 std::size_t BddManager::node_count(BddRef f) const {

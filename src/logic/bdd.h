@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "support/bitvec.h"
+#include "support/error.h"
 #include "support/status.h"
 #include "logic/truth_table.h"
 
@@ -70,7 +71,20 @@ class BddManager {
   /// variable v).  When `visited` is non-null it is incremented once per
   /// decision node walked (SCG telemetry).
   bool evaluate(BddRef f, const BitVec& assignment,
-                std::size_t* visited = nullptr) const;
+                std::size_t* visited = nullptr) const {
+    // Inline: the SCG calls this once per re-evaluated configuration bit.
+    const Node* nodes = arena_data();
+    std::size_t steps = 0;
+    while (!is_const(f)) {
+      const Node& n = nodes[f];
+      FPGADBG_ASSERT(n.var < assignment.size(),
+                     "BDD evaluation assignment too short");
+      f = assignment.get(n.var) ? n.high : n.low;
+      ++steps;
+    }
+    if (visited) *visited += steps;
+    return f == 1;
+  }
 
   /// Word-parallel evaluation: lane k of the result is evaluate(f) under
   /// the assignment whose variable v has the value in bit k of
@@ -84,6 +98,16 @@ class BddManager {
 
   /// Variables in the support of f, ascending.
   std::vector<int> support(BddRef f) const;
+
+  /// Inverted support of many functions as a CSR table: row v,
+  /// `items[begin[v] .. begin[v+1])`, lists ascending every i whose fs[i]
+  /// depends on variable v.  One walk per function over stamp arrays (no
+  /// sets), so the cost is the nodes each function reaches plus the output.
+  struct SupportIndex {
+    std::vector<std::uint32_t> begin;  ///< num_vars() + 1 row offsets
+    std::vector<std::uint32_t> items;  ///< function indices, row by row
+  };
+  SupportIndex support_index(const BddRef* fs, std::size_t count) const;
 
   /// Number of decision nodes reachable from f (constants excluded).
   std::size_t node_count(BddRef f) const;

@@ -35,26 +35,6 @@ void BitVec::clear() {
   words_.clear();
 }
 
-bool BitVec::get(std::size_t i) const {
-  FPGADBG_ASSERT(i < nbits_, "BitVec::get out of range");
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1ULL;
-}
-
-void BitVec::set(std::size_t i, bool value) {
-  FPGADBG_ASSERT(i < nbits_, "BitVec::set out of range");
-  const std::uint64_t mask = 1ULL << (i % kWordBits);
-  if (value) {
-    words_[i / kWordBits] |= mask;
-  } else {
-    words_[i / kWordBits] &= ~mask;
-  }
-}
-
-void BitVec::flip(std::size_t i) {
-  FPGADBG_ASSERT(i < nbits_, "BitVec::flip out of range");
-  words_[i / kWordBits] ^= 1ULL << (i % kWordBits);
-}
-
 std::size_t BitVec::count() const {
   std::size_t total = 0;
   for (std::uint64_t w : words_) total += std::popcount(w);

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "support/error.h"
+
 namespace fpgadbg {
 
 class BitVec {
@@ -23,9 +25,25 @@ class BitVec {
   void resize(std::size_t nbits, bool value = false);
   void clear();
 
-  bool get(std::size_t i) const;
-  void set(std::size_t i, bool value);
-  void flip(std::size_t i);
+  // Single-bit access is inline: the SCG and the simulators call it per
+  // BDD node and per cell.
+  bool get(std::size_t i) const {
+    FPGADBG_ASSERT(i < nbits_, "BitVec::get out of range");
+    return (words_[i / 64] >> (i % 64)) & 1ULL;
+  }
+  void set(std::size_t i, bool value) {
+    FPGADBG_ASSERT(i < nbits_, "BitVec::set out of range");
+    const std::uint64_t mask = 1ULL << (i % 64);
+    if (value) {
+      words_[i / 64] |= mask;
+    } else {
+      words_[i / 64] &= ~mask;
+    }
+  }
+  void flip(std::size_t i) {
+    FPGADBG_ASSERT(i < nbits_, "BitVec::flip out of range");
+    words_[i / 64] ^= 1ULL << (i % 64);
+  }
 
   /// Number of set bits.
   std::size_t count() const;

@@ -525,9 +525,10 @@ support::Result<int> cmd_profile(const Args& args) {
   // with deterministic random stimuli.
   const auto& lanes = offline.instrumented.lane_signals;
   Rng rng(0xfdb6);
+  std::vector<debug::TurnReport> ledger;
   for (std::size_t turn = 0; turn < turns && !lanes.empty(); ++turn) {
     const auto& lane = lanes[turn % lanes.size()];
-    session.observe({lane[turn % lane.size()]});
+    ledger.push_back(session.observe({lane[turn % lane.size()]}));
     for (std::size_t c = 0; c < cycles; ++c) {
       std::vector<bool> inputs;
       inputs.reserve(nl.inputs().size());
@@ -583,6 +584,33 @@ support::Result<int> cmd_profile(const Args& args) {
   row_h("debug.reconfig_seconds");
   row_h("debug.turn_seconds");
   row_h("pnr.route.iteration_seconds");
+  if (!ledger.empty()) {
+    // Where a turn's measured time goes, part by part.  Each part is timed
+    // inside the turn, so per turn the parts never exceed the wall time and
+    // the unaccounted rest (journal, coverage, metrics) is never negative.
+    auto median_us = [&](double (*part)(const debug::TurnReport&)) {
+      std::vector<double> v;
+      for (const debug::TurnReport& r : ledger) v.push_back(part(r) * 1e6);
+      std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+      return v[v.size() / 2];
+    };
+    std::printf(
+        "  turn ledger (median us over %zu turns): select %.1f, scg %.1f, "
+        "frame diff %.1f, retarget %.1f, unaccounted %.1f, wall %.1f\n",
+        ledger.size(),
+        median_us([](const debug::TurnReport& r) { return r.select_seconds; }),
+        median_us(
+            [](const debug::TurnReport& r) { return r.scg_eval_seconds; }),
+        median_us(
+            [](const debug::TurnReport& r) { return r.frame_diff_seconds; }),
+        median_us(
+            [](const debug::TurnReport& r) { return r.retarget_seconds; }),
+        median_us([](const debug::TurnReport& r) {
+          return r.wall_seconds - r.select_seconds - r.scg_eval_seconds -
+                 r.frame_diff_seconds - r.retarget_seconds;
+        }),
+        median_us([](const debug::TurnReport& r) { return r.wall_seconds; }));
+  }
 
   std::printf("counters:\n");
   row_c("flow.stage.executions");

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "bitstream/pconf.h"
 #include "debug/flow.h"
 #include "genbench/genbench.h"
@@ -122,6 +124,85 @@ TEST(PConfIncremental, RealFlowTurnByTurn) {
     prev = incr;
     prev_asg = asg;
   }
+}
+
+/// Support of f by a plain set-based walk, independent of the stamp index.
+std::set<std::uint32_t> reference_support(const logic::BddManager& bdd,
+                                          logic::BddRef f) {
+  std::set<std::uint32_t> vars;
+  std::set<logic::BddRef> seen;
+  std::vector<logic::BddRef> stack{f};
+  while (!stack.empty()) {
+    const logic::BddRef r = stack.back();
+    stack.pop_back();
+    if (bdd.is_const(r) || !seen.insert(r).second) continue;
+    vars.insert(bdd.node_var(r));
+    stack.push_back(bdd.node_low(r));
+    stack.push_back(bdd.node_high(r));
+  }
+  return vars;
+}
+
+// The incremental SCG's CSR index: row p holds exactly the functions whose
+// BDD support contains parameter p, and flipping p alone re-evaluates
+// exactly those functions.
+TEST(PConfIncremental, ParameterIndexListsExactlyTheDependentFunctions) {
+  genbench::CircuitSpec spec{"csr", 8, 6, 4, 60, 3, 5, 23};
+  debug::OfflineOptions options;
+  options.instrument.trace_width = 6;
+  const auto offline = debug::run_offline(genbench::generate(spec), options);
+  const PConf& pconf = *offline.pconf;
+  const FunctionView view = pconf.functions();
+  const std::size_t params = pconf.num_params();
+  std::vector<std::vector<std::uint32_t>> expect(params);
+  for (std::size_t i = 0; i < view.count; ++i) {
+    for (std::uint32_t v : reference_support(pconf.bdd(), view.refs[i])) {
+      ASSERT_LT(v, params);
+      expect[v].push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  const logic::BddManager::SupportIndex index =
+      pconf.bdd().support_index(view.refs, view.count);
+  for (std::size_t p = 0; p < params; ++p) {
+    const auto first = index.items.begin();
+    const std::vector<std::uint32_t> row(first + index.begin[p],
+                                         first + index.begin[p + 1]);
+    EXPECT_EQ(row, expect[p]) << "parameter " << p;
+  }
+
+  const BitVec base(params);
+  const auto base_spec = pconf.specialize_values(base);
+  for (std::size_t p = 0; p < params; ++p) {
+    BitVec flipped = base;
+    flipped.set(p, true);
+    const auto incr = pconf.specialize_values_incremental(base_spec, base,
+                                                          flipped);
+    EXPECT_EQ(incr.bits_evaluated, expect[p].size()) << "parameter " << p;
+    const auto full = pconf.specialize_values(flipped);
+    EXPECT_EQ(incr.memory, full.memory) << "parameter " << p;
+    EXPECT_EQ(incr.bits_changed, base_spec.memory.bit_distance(full.memory));
+    EXPECT_EQ(incr.changed_frames,
+              base_spec.memory.changed_frames(full.memory));
+  }
+}
+
+TEST(PConfIncremental, IndexFollowsFunctionEdits) {
+  PConf pconf(kFrameBits * 2, {"p", "q"});
+  auto& bdd = pconf.bdd();
+  pconf.set_function(0, bdd.var(0));
+  pconf.set_function(kFrameBits + 3, bdd.var(1));
+  pconf.prepare_incremental();
+  // A function added after the index was built is still found.
+  pconf.set_function(5, bdd.bdd_and(bdd.var(0), bdd.var(1)));
+  const BitVec none(2);
+  BitVec q(2);
+  q.set(1, true);
+  const auto base = pconf.specialize_values(none);
+  const auto incr = pconf.specialize_values_incremental(base, none, q);
+  EXPECT_EQ(incr.bits_evaluated, 2u);
+  EXPECT_EQ(incr.bits_changed, 1u);
+  EXPECT_EQ(incr.changed_frames, std::vector<std::size_t>{1});
+  EXPECT_EQ(incr.memory, pconf.specialize_values(q).memory);
 }
 
 }  // namespace

@@ -117,6 +117,25 @@ TEST(Journal, RingDropsOldestBeyondCapacity) {
   EXPECT_EQ(j.events().back().seq, 6u);
 }
 
+TEST(Journal, RingDropsOldestBeyondByteBudget) {
+  // Each event carries a 100-signal list (a few KiB); the byte bound of a
+  // 64-event ring (16 KiB) holds only a few of them.
+  SessionJournal j(64);
+  for (int i = 0; i < 10; ++i) {
+    SessionEvent e;
+    e.kind = SessionEventKind::kTurnStart;
+    e.signals.assign(100, "n" + std::to_string(i));
+    j.append(std::move(e));
+  }
+  EXPECT_LE(j.bytes(), j.byte_budget());
+  EXPECT_GE(j.size(), 2u);
+  EXPECT_LT(j.size(), 10u);
+  EXPECT_EQ(j.dropped_events() + j.size(), 10u);
+  EXPECT_EQ(j.events().back().signals.front(), "n9");  // newest kept
+  j.clear();
+  EXPECT_EQ(j.bytes(), 0u);
+}
+
 TEST(Journal, SinkAttachedLateCatchesUpAndStreams) {
   const auto offline = run_offline(small_user(2), small_options());
   DebugSession session(offline);

@@ -18,6 +18,7 @@
 #include "genbench/genbench.h"
 #include "map/mappers.h"
 #include "netlist/blif.h"
+#include "support/rng.h"
 #include "support/telemetry.h"
 
 namespace fpgadbg::flow {
@@ -109,6 +110,50 @@ TEST(Pipeline, WarmRunExecutesZeroStages) {
             cold.value().offline.pconf->num_parameterized_bits());
   EXPECT_EQ(warm.value().offline.compiled->placement.cluster_pos,
             cold.value().offline.compiled->placement.cluster_pos);
+}
+
+// A warm PConf borrows its BDD arena and function table from the mapped
+// cache blob and derives the incremental SCG's parameter index at load:
+// every incremental turn on it must equal the cold-built PConf's.
+TEST(Pipeline, WarmBorrowedPConfSpecializesLikeTheColdBuild) {
+  TempCacheDir cache("warm_scg");
+  auto options = small_options();
+  options.cache_dir = cache.path;
+  Pipeline pipeline(options);
+  auto cold = pipeline.run(small_user(9));
+  ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+  auto warm = pipeline.run(small_user(9));
+  ASSERT_TRUE(warm.ok()) << warm.status().to_string();
+  ASSERT_EQ(warm.value().stages_executed, 0u);
+  const bitstream::PConf& c = *cold.value().offline.pconf;
+  const bitstream::PConf& w = *warm.value().offline.pconf;
+  EXPECT_FALSE(c.functions_borrowed());
+  EXPECT_TRUE(w.functions_borrowed());
+  EXPECT_TRUE(w.bdd().borrowed());
+
+  const debug::Instrumented& inst = warm.value().offline.instrumented;
+  BitVec prev = inst.select_values({});
+  auto cs = c.specialize_values(prev);
+  auto ws = w.specialize_values(prev);
+  EXPECT_EQ(cs.memory, ws.memory);
+  Rng rng(9);
+  for (int turn = 0; turn < 40; ++turn) {
+    const auto& lane =
+        inst.lane_signals[rng.next_below(inst.lane_signals.size())];
+    const BitVec values =
+        inst.select_values({lane[rng.next_below(lane.size())]});
+    auto cn = c.specialize_values_incremental(cs, prev, values);
+    auto wn = w.specialize_values_incremental(ws, prev, values);
+    EXPECT_EQ(wn.memory, cn.memory) << "turn " << turn;
+    EXPECT_EQ(wn.bits_evaluated, cn.bits_evaluated) << "turn " << turn;
+    EXPECT_EQ(wn.bits_changed, cn.bits_changed) << "turn " << turn;
+    EXPECT_EQ(wn.changed_frames, cn.changed_frames) << "turn " << turn;
+    cs = std::move(cn);
+    ws = std::move(wn);
+    prev = values;
+  }
+  // Reads never copy the borrowed table out.
+  EXPECT_TRUE(w.functions_borrowed());
 }
 
 TEST(Pipeline, PlaceOptionChangeRerunsOnlyDownstream) {

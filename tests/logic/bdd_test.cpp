@@ -88,6 +88,25 @@ TEST(Bdd, Support) {
   EXPECT_TRUE(mgr.support(mgr.one()).empty());
 }
 
+TEST(Bdd, SupportIndexIsTheInvertedSupport) {
+  BddManager mgr(4);
+  const std::vector<BddRef> fs = {
+      mgr.bdd_xor(mgr.var(1), mgr.var(3)), mgr.one(),
+      mgr.bdd_and(mgr.var(0), mgr.bdd_or(mgr.var(1), mgr.var(3))),
+      mgr.var(3)};
+  const BddManager::SupportIndex index =
+      mgr.support_index(fs.data(), fs.size());
+  ASSERT_EQ(index.begin.size(), 5u);
+  auto row = [&](std::size_t v) {
+    return std::vector<std::uint32_t>(index.items.begin() + index.begin[v],
+                                      index.items.begin() + index.begin[v + 1]);
+  };
+  EXPECT_EQ(row(0), (std::vector<std::uint32_t>{2}));
+  EXPECT_EQ(row(1), (std::vector<std::uint32_t>{0, 2}));
+  EXPECT_TRUE(row(2).empty());
+  EXPECT_EQ(row(3), (std::vector<std::uint32_t>{0, 2, 3}));
+}
+
 TEST(Bdd, NodeCount) {
   BddManager mgr(3);
   EXPECT_EQ(mgr.node_count(mgr.zero()), 0u);

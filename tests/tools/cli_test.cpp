@@ -255,6 +255,33 @@ TEST(Cli, UsageMentionsProfileAndGlobalOptions) {
   EXPECT_NE(r.output.find("FPGADBG_LOG_LEVEL"), std::string::npos);
 }
 
+// `profile` prints where a turn's measured time goes; the parts are timed
+// inside the turn, so none exceeds the wall time and the rest is >= 0.
+TEST(Cli, ProfilePrintsTheTurnLedger) {
+  const std::string blif = write_profile_blif("ledger.blif");
+  const auto r = run("profile " + blif + " --width 2 --turns 5 --cycles 4");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::size_t at =
+      r.output.find("turn ledger (median us over 5 turns): ");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  const std::string line = r.output.substr(at, r.output.find('\n', at) - at);
+  double select = -1, scg = -1, diff = -1, retarget = -1, rest = -1, wall = -1;
+  ASSERT_EQ(std::sscanf(line.c_str(),
+                        "turn ledger (median us over 5 turns): select %lf, "
+                        "scg %lf, frame diff %lf, retarget %lf, unaccounted "
+                        "%lf, wall %lf",
+                        &select, &scg, &diff, &retarget, &rest, &wall),
+            6)
+      << line;
+  EXPECT_GT(wall, 0.0) << line;
+  for (double part : {select, scg, diff, retarget}) {
+    EXPECT_GE(part, 0.0) << line;
+    EXPECT_LE(part, wall) << line;
+  }
+  EXPECT_GE(rest, 0.0) << line;
+  EXPECT_LE(rest, wall) << line;
+}
+
 TEST(Cli, ProfileWritesTelemetryArtifacts) {
   const std::string blif = write_profile_blif("prof.blif");
   const std::string trace_path = tmp_path("prof_trace.json");
