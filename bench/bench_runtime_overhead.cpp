@@ -23,11 +23,12 @@ using namespace fpgadbg;
 
 namespace {
 
-/// Cycles/second of the DUT emulation under one simulator backend.
-double emulation_rate(const map::MappedNetlist& mn, sim::SimBackend backend) {
-  sim::MappedSimulator simulator(mn, backend);
+/// Cycles/second of `simulator` under scalar random stimulus (parameters
+/// as constructed: all zero).
+template <typename Simulator>
+double emulation_rate(Simulator& simulator, std::size_t num_inputs) {
   Rng rng(99);
-  std::vector<bool> inputs(mn.inputs().size());
+  std::vector<bool> inputs(num_inputs);
   const int cycles = 20000;
   Stopwatch timer;
   for (int c = 0; c < cycles; ++c) {
@@ -109,16 +110,34 @@ int main() {
                 model.relative_overhead(50e-6, t),
                 model.relative_overhead(activation, t));
   }
-  // The emulated DUT behind the session: compiled levelized engine vs the
-  // per-cell interpreter it replaced.
-  const double interp_rate =
-      emulation_rate(offline.mapping.netlist, sim::SimBackend::kInterpreted);
-  const double compiled_rate =
-      emulation_rate(offline.mapping.netlist, sim::SimBackend::kCompiled);
+  // The emulated DUT behind the session: the compiled engine running the
+  // program folded on the parameters, against the same engine running the
+  // free-parameter program (CompiledSimulator driven directly) and the
+  // per-cell interpreter.
+  const map::MappedNetlist& mn = offline.mapping.netlist;
+  sim::MappedSimulator interpreted(mn, sim::SimBackend::kInterpreted);
+  sim::CompiledSimulator unfolded(mn);
+  sim::MappedSimulator folded(mn, sim::SimBackend::kCompiled);
+  const double interp_rate = emulation_rate(interpreted, mn.inputs().size());
+  const double unfolded_rate = emulation_rate(unfolded, mn.inputs().size());
+  const double folded_rate = emulation_rate(folded, mn.inputs().size());
+  const std::size_t unfolded_ops = unfolded.program().ops.size();
+  const std::size_t folded_ops = folded.program()->ops.size();
   std::printf("\nDUT emulation throughput (scalar stimulus):\n");
-  std::printf("  interpreted backend: %10.0f cycles/s\n", interp_rate);
-  std::printf("  compiled backend:    %10.0f cycles/s (%.1fx)\n",
-              compiled_rate, compiled_rate / interp_rate);
+  std::printf("  interpreted backend:      %10.0f cycles/s\n", interp_rate);
+  std::printf("  compiled, free params:    %10.0f cycles/s, %zu ops\n",
+              unfolded_rate, unfolded_ops);
+  std::printf("  compiled, params folded:  %10.0f cycles/s, %zu ops, %zu "
+              "aliased cells (%.1fx free params, %.1fx interpreted)\n",
+              folded_rate, folded_ops, folded.aliased_cells(),
+              folded_rate / unfolded_rate, folded_rate / interp_rate);
+  telemetry::MetricsRegistry& metrics = telemetry::metrics();
+  metrics.gauge("bench.dut.interpreted_cycles_per_sec").set(interp_rate);
+  metrics.gauge("bench.dut.unfolded_cycles_per_sec").set(unfolded_rate);
+  metrics.gauge("bench.dut.folded_cycles_per_sec").set(folded_rate);
+  metrics.gauge("bench.dut.unfolded_ops")
+      .set(static_cast<double>(unfolded_ops));
+  metrics.gauge("bench.dut.folded_ops").set(static_cast<double>(folded_ops));
 
   // Flight-recorder cost on the emulation hot path: run() only bumps a
   // pending-cycle counter per step (events batch-flush at turn boundaries),

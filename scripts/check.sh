@@ -53,10 +53,14 @@ FPGADBG="$BUILD_DIR/src/tools/fpgadbg"
 SMOKE_DIR="$BUILD_DIR/schema-smoke"
 rm -rf "$SMOKE_DIR" && mkdir -p "$SMOKE_DIR"
 "$FPGADBG" gen stereov "$SMOKE_DIR/design.blif" > /dev/null
-"$FPGADBG" --journal "$SMOKE_DIR/session.jsonl" \
-           --metrics "$SMOKE_DIR/metrics.json" \
-           --prom "$SMOKE_DIR/metrics.prom" \
-           profile "$SMOKE_DIR/design.blif" --turns 4 --cycles 64 > /dev/null
+PROFILE=$("$FPGADBG" --journal "$SMOKE_DIR/session.jsonl" \
+                   --metrics "$SMOKE_DIR/metrics.json" \
+                   --prom "$SMOKE_DIR/metrics.prom" \
+                   profile "$SMOKE_DIR/design.blif" --turns 4 --cycles 64)
+grep -q "DUT program: " <<< "$PROFILE" || {
+  echo "schema smoke: profile output is missing the \"DUT program\" line" >&2
+  exit 1
+}
 REPORT=$("$FPGADBG" report "$SMOKE_DIR/session.jsonl" "$SMOKE_DIR/metrics.json")
 for needle in "per-turn breakdown" "paper bound" "signal coverage" \
               "frame churn" "metrics snapshot"; do

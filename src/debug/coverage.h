@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
+
+#include "support/bitvec.h"
 
 namespace fpgadbg::debug {
 
@@ -22,20 +24,25 @@ class CoverageTracker {
  public:
   CoverageTracker() = default;
   /// `observable` is the universe: every signal the instrumentation can
-  /// route to a trace lane (duplicates are deduped).
+  /// route to a trace lane (duplicates are deduped).  Signal ids number the
+  /// distinct names in order of first appearance, so a universe listed in
+  /// Instrumented signal-id order shares the instrumentation's ids.
   explicit CoverageTracker(const std::vector<std::string>& observable);
 
-  /// Records one turn's observed signal set (one name per lane; names not in
-  /// the observable universe are counted into it on the fly).  Returns the
+  /// Records one turn's observed signals by id (one per lane).  Returns the
   /// coverage fraction after the turn.
+  double note_turn_ids(const std::vector<std::uint32_t>& observed_ids);
+  /// The same by name; names not in the observable universe are counted
+  /// into it on the fly.
   double note_turn(const std::vector<std::string>& observed);
 
-  std::size_t observable() const { return observable_.size(); }
-  std::size_t observed() const { return seen_.size(); }
+  std::size_t observable() const { return names_.size(); }
+  std::size_t observed() const { return observed_; }
   /// observed() / observable() in [0, 1]; 0 when nothing is observable.
   double fraction() const;
   bool has_observed(const std::string& signal) const {
-    return seen_.count(signal) > 0;
+    const auto it = id_of_.find(signal);
+    return it != id_of_.end() && seen_.get(it->second);
   }
 
   /// Coverage fraction after each recorded turn, in turn order.
@@ -56,8 +63,13 @@ class CoverageTracker {
   std::vector<PrefixCoverage> rollup() const;
 
  private:
-  std::unordered_set<std::string> observable_;
-  std::unordered_set<std::string> seen_;
+  /// Id of `name`, added to the universe if new.
+  std::uint32_t intern(const std::string& name);
+
+  std::vector<std::string> names_;  ///< signal id -> name
+  std::unordered_map<std::string, std::uint32_t> id_of_;
+  BitVec seen_;  ///< by signal id
+  std::size_t observed_ = 0;
   std::vector<double> curve_;
 };
 

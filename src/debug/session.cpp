@@ -43,11 +43,12 @@ DebugSession::DebugSession(const OfflineResult& offline,
                       offline_.pconf->param_names() == inst.param_names(),
                   "PConf parameters differ from the instrumentation's");
   {
-    // The coverage universe: every signal wired into any lane (replication
-    // places a signal in several lanes; the tracker dedups).
+    // The coverage universe: every signal wired into any lane, listed in
+    // signal-id order so the tracker's ids are the instrumentation's.
     std::vector<std::string> observable;
-    for (const auto& lane : offline_.instrumented.lane_signals) {
-      observable.insert(observable.end(), lane.begin(), lane.end());
+    observable.reserve(inst.num_signals());
+    for (std::uint32_t id = 0; id < inst.num_signals(); ++id) {
+      observable.push_back(inst.signal_name(id));
     }
     coverage_ = CoverageTracker(observable);
   }
@@ -101,8 +102,14 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
   }
   TurnReport report;
   Stopwatch part;
-  BitVec values = offline_.instrumented.select_values(signals);
-  report.observed = offline_.instrumented.observed_under_values(values);
+  const Instrumented& inst = offline_.instrumented;
+  BitVec values = inst.select_values(signals);
+  const std::vector<std::uint32_t> observed_ids =
+      inst.observed_ids_under_values(values);
+  report.observed.reserve(observed_ids.size());
+  for (std::uint32_t id : observed_ids) {
+    report.observed.push_back(inst.signal_name(id));
+  }
   report.select_seconds = part.elapsed_seconds();
 
   if (offline_.pconf) {
@@ -177,7 +184,7 @@ TurnReport DebugSession::observe(const std::vector<std::string>& signals) {
   current_values_ = std::move(values);
   observed_ = report.observed;
 
-  const double coverage = coverage_.note_turn(report.observed);
+  const double coverage = coverage_.note_turn_ids(observed_ids);
   m.gauge("debug.coverage.observed")
       .set(static_cast<double>(coverage_.observed()));
   m.gauge("debug.coverage.observable")

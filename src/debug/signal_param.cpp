@@ -37,6 +37,8 @@ void Instrumented::index_signals() {
   signal_id_.clear();
   place_begin_.clear();
   placements_.clear();
+  lane_begin_.assign(1, 0);
+  lane_signal_ids_.clear();
   lane_param_begin_.assign(1, 0);
   param_names_.clear();
   // Placements grouped by signal id, each group in lane order: the order a
@@ -47,11 +49,13 @@ void Instrumented::index_signals() {
       const auto [it, inserted] = signal_id_.try_emplace(
           lane_signals[l][i], static_cast<std::uint32_t>(by_signal.size()));
       if (inserted) by_signal.emplace_back();
+      lane_signal_ids_.push_back(it->second);
       auto& group = by_signal[it->second];
       if (!group.empty() && group.back().lane == l) continue;
       group.push_back(Placement{static_cast<std::uint32_t>(l),
                                 static_cast<std::uint32_t>(i)});
     }
+    lane_begin_.push_back(static_cast<std::uint32_t>(lane_signal_ids_.size()));
   }
   place_begin_.reserve(by_signal.size() + 1);
   place_begin_.push_back(0);
@@ -151,9 +155,19 @@ BitVec Instrumented::select_values(
 
 std::vector<std::string> Instrumented::observed_under_values(
     const BitVec& values) const {
+  std::vector<std::string> observed;
+  observed.reserve(lane_signals.size());
+  for (std::uint32_t id : observed_ids_under_values(values)) {
+    observed.push_back(signal_name(id));
+  }
+  return observed;
+}
+
+std::vector<std::uint32_t> Instrumented::observed_ids_under_values(
+    const BitVec& values) const {
   FPGADBG_REQUIRE(values.size() == num_params(),
                   "parameter values have the wrong width");
-  std::vector<std::string> observed;
+  std::vector<std::uint32_t> observed;
   observed.reserve(lane_signals.size());
   for (std::size_t l = 0; l < lane_signals.size(); ++l) {
     std::size_t index = 0;
@@ -162,8 +176,8 @@ std::vector<std::string> Instrumented::observed_under_values(
       if (values.get(first + b)) index |= std::size_t{1} << b;
     }
     // Padded slots duplicate signal 0.
-    observed.push_back(index < lane_signals[l].size() ? lane_signals[l][index]
-                                                      : lane_signals[l][0]);
+    if (index >= lane_signals[l].size()) index = 0;
+    observed.push_back(lane_signal_ids_[lane_begin_[l] + index]);
   }
   return observed;
 }

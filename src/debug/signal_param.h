@@ -90,6 +90,19 @@ struct Instrumented {
 
   /// The signal each lane shows under parameter values.
   std::vector<std::string> observed_under_values(const BitVec& values) const;
+  /// The same, as signal ids.
+  std::vector<std::uint32_t> observed_ids_under_values(
+      const BitVec& values) const;
+
+  /// Signal ids: every observable signal once, numbered in the order a
+  /// lane-by-lane scan of lane_signals first meets them.
+  std::size_t num_signals() const {
+    return place_begin_.empty() ? 0 : place_begin_.size() - 1;
+  }
+  const std::string& signal_name(std::uint32_t id) const {
+    const Placement& p = placements_[place_begin_[id]];
+    return lane_signals[p.lane][p.index];
+  }
 
   /// Name-keyed adapters over select_values / observed_under_values: the
   /// assignment names every parameter; names observed_under does not know
@@ -111,6 +124,9 @@ struct Instrumented {
   /// place_begin_[s+1]), ascending by lane.
   std::vector<std::uint32_t> place_begin_;
   std::vector<Placement> placements_;
+  /// Signal id of lane l's index i: lane_signal_ids_[lane_begin_[l] + i].
+  std::vector<std::uint32_t> lane_begin_;
+  std::vector<std::uint32_t> lane_signal_ids_;
   /// Lane l's select bit b is parameter lane_param_begin_[l] + b.
   std::vector<std::uint32_t> lane_param_begin_;
   std::vector<std::string> param_names_;

@@ -24,6 +24,30 @@ CompiledSimulator::CompiledSimulator(const map::MappedNetlist& mn,
   init();
 }
 
+CompiledSimulator::CompiledSimulator(SimProgram program,
+                                     CompiledSimOptions options)
+    : prog_(std::move(program)), opts_(options) {
+  init();
+}
+
+void CompiledSimulator::swap_program(SimProgram& program) {
+  FPGADBG_REQUIRE(program.num_design_nodes == prog_.num_design_nodes &&
+                      program.inputs == prog_.inputs &&
+                      program.params == prog_.params &&
+                      program.outputs == prog_.outputs &&
+                      program.latches.size() == prog_.latches.size(),
+                  "swap_program: the program lowers a different design");
+  FPGADBG_REQUIRE(faults_.empty(),
+                  "swap_program: clear the injected faults first");
+  std::swap(prog_, program);
+  // Design slots keep their words; temporaries are rewritten by the full
+  // eval before anything reads them.
+  values_.resize(prog_.num_slots, 0);
+  if (opts_.event_driven) dirty_.assign(prog_.num_slots, 0);
+  op_has_fault_.assign(prog_.ops.size(), 0);
+  full_eval_pending_ = true;
+}
+
 void CompiledSimulator::init() {
   if (opts_.num_threads == 0) {
     pool_ = &ThreadPool::global();
@@ -207,19 +231,18 @@ void CompiledSimulator::step() {
 }
 
 bool CompiledSimulator::output(std::size_t index) const {
-  FPGADBG_REQUIRE(index < prog_.outputs.size(), "output index out of range");
-  return values_[prog_.outputs[index]] & 1;
+  return output_word(index) & 1;
 }
 
 std::uint64_t CompiledSimulator::output_word(std::size_t index) const {
   FPGADBG_REQUIRE(index < prog_.outputs.size(), "output index out of range");
-  return values_[prog_.outputs[index]];
+  return word(prog_.outputs[index]);
 }
 
 std::vector<bool> CompiledSimulator::output_values() const {
   std::vector<bool> out;
   out.reserve(prog_.outputs.size());
-  for (std::uint32_t id : prog_.outputs) out.push_back(values_[id] & 1);
+  for (std::uint32_t id : prog_.outputs) out.push_back(value(id));
   return out;
 }
 

@@ -13,6 +13,11 @@
 // levels are swept with ThreadPool::parallel_for when a pool with more than
 // one worker is configured.  Faults are indexed per op at injection time, so
 // fault-free simulation pays nothing for the fault machinery.
+//
+// Design values are read through the program's alias table, so the engine
+// also runs a parameter-folded program (ParamFolding), whose folded-away
+// cells share their source's slot; swap_program() replaces the program
+// between evaluations and keeps the sequential state.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +52,18 @@ class CompiledSimulator {
                              CompiledSimOptions options = {});
   explicit CompiledSimulator(const map::MappedNetlist& mn,
                              CompiledSimOptions options = {});
+  /// Runs an already lowered program.
+  explicit CompiledSimulator(SimProgram program,
+                             CompiledSimOptions options = {});
 
   const SimProgram& program() const { return prog_; }
+
+  /// Replaces the program with another lowering of the same design (same
+  /// sources, latches and outputs); `program` receives the old one.  Latch,
+  /// input and parameter words and the cycle count carry over; the next
+  /// eval() is a full one.  Not allowed while faults are injected (they are
+  /// indexed by op).
+  void swap_program(SimProgram& program);
   const CompiledSimOptions& options() const { return opts_; }
 
   /// Reset latches of all 64 streams to their init values.
@@ -69,11 +84,13 @@ class CompiledSimulator {
   /// eval() then clock all latches.
   void step();
 
-  bool value(std::uint32_t id) const { return values_[id] & 1; }
+  bool value(std::uint32_t id) const { return word(id) & 1; }
   bool value(std::uint32_t id, std::size_t lane) const {
-    return (values_[id] >> lane) & 1;
+    return (word(id) >> lane) & 1;
   }
-  std::uint64_t word(std::uint32_t id) const { return values_[id]; }
+  std::uint64_t word(std::uint32_t id) const {
+    return values_[prog_.alias[id]];
+  }
   bool output(std::size_t index) const;
   std::uint64_t output_word(std::size_t index) const;
   std::vector<bool> output_values() const;

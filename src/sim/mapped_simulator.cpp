@@ -1,6 +1,8 @@
 #include "sim/mapped_simulator.h"
 
 #include "support/error.h"
+#include "support/stopwatch.h"
+#include "support/telemetry.h"
 
 namespace fpgadbg::sim {
 
@@ -11,13 +13,37 @@ using map::MKind;
 MappedSimulator::MappedSimulator(const MappedNetlist& mn, SimBackend backend)
     : mn_(mn), backend_(backend) {
   if (backend_ == SimBackend::kCompiled) {
-    engine_.emplace(mn);
+    folding_ = std::make_unique<ParamFolding>(mn);
+    bound_ = BitVec(mn.params().size());
+    folded_ = bound_;
+    engine_.emplace(folding_->fold(folded_));
+    note_program();
     return;
   }
   topo_ = mn.topo_order();
   values_.assign(mn.num_cells(), 0);
   latch_state_.resize(mn.latches().size(), 0);
   reset();
+}
+
+void MappedSimulator::note_program() const {
+  static telemetry::Gauge& ops = telemetry::metrics().gauge("sim.program_ops");
+  static telemetry::Gauge& aliases =
+      telemetry::metrics().gauge("sim.program_aliases");
+  ops.set(static_cast<double>(engine_->program().ops.size()));
+  aliases.set(static_cast<double>(folding_->aliased_cells()));
+}
+
+void MappedSimulator::refold() {
+  telemetry::TraceScope span("sim.refold", "sim");
+  static telemetry::Histogram& seconds =
+      telemetry::metrics().histogram("sim.refold_seconds");
+  Stopwatch timer;
+  SimProgram program = folding_->fold(bound_);
+  engine_->swap_program(program);
+  folded_ = bound_;
+  seconds.observe(timer.elapsed_seconds());
+  note_program();
 }
 
 void MappedSimulator::reset() {
@@ -65,6 +91,7 @@ void MappedSimulator::set_param(CellId id, bool value) {
                   "set_param target is not a parameter");
   if (engine_) {
     engine_->set_param(id, value);
+    bound_.set(folding_->param_index(id), value);
   } else {
     values_[id] = value ? 1 : 0;
   }
@@ -74,7 +101,9 @@ void MappedSimulator::set_params(const std::vector<bool>& values) {
   FPGADBG_REQUIRE(values.size() == mn_.params().size(),
                   "set_params size mismatch");
   if (engine_) {
-    engine_->set_params(values);
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      set_param(mn_.params()[i], values[i]);
+    }
     return;
   }
   for (std::size_t i = 0; i < values.size(); ++i) {
@@ -84,6 +113,7 @@ void MappedSimulator::set_params(const std::vector<bool>& values) {
 
 void MappedSimulator::eval() {
   if (engine_) {
+    if (bound_ != folded_) refold();
     engine_->eval();
     return;
   }
@@ -108,6 +138,7 @@ void MappedSimulator::eval() {
 
 void MappedSimulator::step() {
   if (engine_) {
+    if (bound_ != folded_) refold();
     engine_->step();
     return;
   }

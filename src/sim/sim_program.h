@@ -11,13 +11,23 @@
 // one-to-one; cascade temporaries occupy the slots above.  Ops within one
 // level never read each other's outputs, which is what lets the evaluator
 // sweep a level with ThreadPool::parallel_for.
+//
+// A mapped netlist lowers with its parameters either free (lower_program:
+// parameter cells are ordinary sources, so one program serves every
+// assignment, 64 of them per word) or bound (ParamFolding: each cell's
+// function is cofactored on the current parameter values and constants are
+// propagated).  Under bound parameters a trace-mux TCON reduces to a single
+// data input and becomes an alias of that input's slot, so the folded
+// program evaluates only the user logic.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "map/mapped_netlist.h"
 #include "netlist/netlist.h"
+#include "support/bitvec.h"
 
 namespace fpgadbg::sim {
 
@@ -57,7 +67,11 @@ struct SimProgram {
 
   std::vector<SlotKind> node_kind;        ///< per design node id
   std::vector<std::uint32_t> op_of_node;  ///< design id -> op computing it
-                                          ///< (kNoOp for sources)
+                                          ///< (kNoOp for sources and aliases)
+  /// Design id -> slot holding its value: the identity, except for cells a
+  /// parameter-bound lowering reduced to a copy of another slot.  Readers of
+  /// a design value go through it; ops and latches already name the slot.
+  std::vector<std::uint32_t> alias;
   std::vector<std::uint32_t> inputs;      ///< design ids, declaration order
   std::vector<std::uint32_t> params;
   std::vector<std::uint32_t> outputs;
@@ -69,6 +83,48 @@ struct SimProgram {
 };
 
 SimProgram lower_program(const netlist::Netlist& nl);
+/// Free-parameter lowering: parameter cells stay sources.
 SimProgram lower_program(const map::MappedNetlist& mn);
+
+namespace detail {
+struct ProgramBuilder;
+}
+
+/// Parameter-bound lowering of a mapped netlist.  The parameter cone (cells
+/// with a parameter in their transitive fanin) is re-lowered on every fold;
+/// every other cell is lowered once, at construction, exactly as
+/// lower_program does.  `mn` must outlive the folding.
+class ParamFolding {
+ public:
+  explicit ParamFolding(const map::MappedNetlist& mn);
+  ~ParamFolding();
+
+  /// Index of parameter cell `id` in mn.params() (kNoOp for other cells).
+  std::uint32_t param_index(map::CellId id) const { return param_index_[id]; }
+
+  /// The program under parameter values `values` (bit k = mn.params()[k]).
+  /// Cone cells are cofactored on the parameters and on constant fanins;
+  /// a cell left with one fanin as identity becomes an alias of that fanin's
+  /// slot, a constant cell a fanin-free op.
+  SimProgram fold(const BitVec& values);
+
+  /// Ops lower_program(mn) emits for the same netlist.
+  std::size_t unfolded_ops() const { return unfolded_ops_; }
+  /// Cells the last fold() made aliases.
+  std::size_t aliased_cells() const { return aliased_; }
+
+ private:
+  const map::MappedNetlist& mn_;
+  std::vector<std::uint32_t> param_index_;
+  std::vector<map::CellId> cone_;  ///< logic cells of the cone, topo order
+  std::size_t unfolded_ops_ = 0;
+  std::size_t aliased_ = 0;
+  /// The parameter-free part, lowered once; fold() starts from a copy.
+  std::unique_ptr<detail::ProgramBuilder> base_;
+  /// Per cell: the slot holding its value, or a constant (fixed outside the
+  /// cone, rewritten by each fold inside it).
+  std::vector<std::uint32_t> resolved_;
+  std::vector<std::uint64_t> table_, spare_;  ///< scratch truth tables
+};
 
 }  // namespace fpgadbg::sim

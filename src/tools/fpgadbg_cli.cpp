@@ -611,6 +611,18 @@ support::Result<int> cmd_profile(const Args& args) {
         }),
         median_us([](const debug::TurnReport& r) { return r.wall_seconds; }));
   }
+  // Where an emulated cycle's time goes: the DUT runs its program folded on
+  // the current parameters, re-folded on the first cycle after a turn.
+  if (const sim::SimProgram* program = session.dut().program()) {
+    const auto refold = snap.histogram("sim.refold_seconds");
+    std::printf("  DUT program: %zu ops (%zu unfolded, %zu aliased cells), "
+                "refold p50 %.1f us over %llu refolds\n",
+                program->ops.size(), session.dut().unfolded_ops(),
+                session.dut().aliased_cells(), refold.p50 * 1e6,
+                static_cast<unsigned long long>(refold.count));
+  } else {
+    std::printf("  DUT program: none (interpreted backend)\n");
+  }
 
   std::printf("counters:\n");
   row_c("flow.stage.executions");

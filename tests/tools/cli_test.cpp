@@ -282,6 +282,32 @@ TEST(Cli, ProfilePrintsTheTurnLedger) {
   EXPECT_LE(rest, wall) << line;
 }
 
+// `profile` prints the size of the emulated DUT's program: folded on the
+// current parameters it is smaller than the free-parameter lowering, and
+// each turn that changes the parameters re-folds it once.
+TEST(Cli, ProfilePrintsTheDutProgram) {
+  const std::string blif = write_profile_blif("dut.blif");
+  const auto r = run("profile " + blif + " --width 2 --turns 5 --cycles 4");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  const std::size_t at = r.output.find("DUT program: ");
+  ASSERT_NE(at, std::string::npos) << r.output;
+  const std::string line = r.output.substr(at, r.output.find('\n', at) - at);
+  unsigned long ops = 0, unfolded = 0, aliased = 0;
+  unsigned long long refolds = 0;
+  double p50 = -1;
+  ASSERT_EQ(std::sscanf(line.c_str(),
+                        "DUT program: %lu ops (%lu unfolded, %lu aliased "
+                        "cells), refold p50 %lf us over %llu refolds",
+                        &ops, &unfolded, &aliased, &p50, &refolds),
+            5)
+      << line;
+  EXPECT_LT(ops, unfolded) << line;
+  EXPECT_GT(aliased, 0u) << line;
+  EXPECT_GE(refolds, 1u) << line;
+  EXPECT_LE(refolds, 5u) << line;
+  EXPECT_GT(p50, 0.0) << line;
+}
+
 TEST(Cli, ProfileWritesTelemetryArtifacts) {
   const std::string blif = write_profile_blif("prof.blif");
   const std::string trace_path = tmp_path("prof_trace.json");
